@@ -21,8 +21,11 @@ echo "== fleet scaling smoke (CAPSIM_SCALE=test: lossy busy + datacenter mixes,"
 echo "   each serial and parallel with 2 virtual threads x 4 shards, bit-compared)"
 CAPSIM_SCALE=test cargo run -q --release -p capsim-bench --bin fleet /tmp/BENCH_fleet_ci.json >/dev/null
 
-echo "== perf smoke (writes BENCH_hotpath.json)"
-cargo run -q --release -p capsim-bench --bin perf_smoke >/dev/null
+echo "== benchmark package tests (its own workspace under benchmark/)"
+cargo test --manifest-path benchmark/Cargo.toml -q
+
+echo "== perf smoke (to a scratch file; the committed BENCH_hotpath.json stays as recorded)"
+cargo run -q --release -p capsim-bench --bin perf_smoke -- /tmp/BENCH_hotpath_ci.json >/dev/null
 
 echo "== telemetry smoke (CAPSIM_SCALE=test: obs overhead budget)"
 CAPSIM_SCALE=test cargo run -q --release -p capsim-bench --bin telemetry /tmp/BENCH_obs_ci.json >/dev/null
@@ -45,7 +48,7 @@ echo "   CAPSIM_THREADS {1,4} re-exec fingerprints compared)"
 cargo run -q --release --example backpressure >/dev/null
 
 echo "== bench trajectory files parse and carry their required keys"
-cargo run -q --release -p capsim-bench --bin bench_check -- BENCH_*.json /tmp/BENCH_fleet_ci.json /tmp/BENCH_obs_ci.json /tmp/BENCH_chaos_ci.json /tmp/BENCH_policy_ci.json /tmp/BENCH_traffic_ci.json
+cargo run -q --release -p capsim-bench --bin bench_check -- BENCH_*.json /tmp/BENCH_hotpath_ci.json /tmp/BENCH_fleet_ci.json /tmp/BENCH_obs_ci.json /tmp/BENCH_chaos_ci.json /tmp/BENCH_policy_ci.json /tmp/BENCH_traffic_ci.json
 
 echo "== cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

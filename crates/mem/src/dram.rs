@@ -98,6 +98,7 @@ impl DramModel {
     /// A 16-bank open-row model gives sequential streams a ~25 % discount
     /// (row-buffer hits), which is what lets streaming codes like SIRE/RSM
     /// sustain reasonable baseline bandwidth.
+    #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> f64 {
         if write {
             self.writes += 1;

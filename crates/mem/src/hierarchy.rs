@@ -193,6 +193,11 @@ impl MemoryHierarchy {
     /// was filled); the page table's map is consulted only on walks. A
     /// debug assertion cross-checks the cached PPN against the page table
     /// on every access.
+    ///
+    /// `#[inline]` (like [`Self::fetch_access`] and the leaf helpers it
+    /// calls) so that `capsim-node`'s per-load charge paths can inline
+    /// it across the crate boundary without LTO.
+    #[inline]
     pub fn data_access(&mut self, core: CoreId, vaddr: VAddr, write: bool) -> AccessOutcome {
         let mut out = AccessOutcome::default();
         let vpn = vaddr.vpn();
@@ -239,6 +244,7 @@ impl MemoryHierarchy {
     }
 
     /// An instruction-fetch access for the line containing `vaddr`.
+    #[inline]
     pub fn fetch_access(&mut self, core: CoreId, vaddr: VAddr) -> AccessOutcome {
         let mut out = AccessOutcome::default();
         let vpn = vaddr.vpn();

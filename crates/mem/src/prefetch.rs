@@ -32,6 +32,7 @@ impl NextLinePrefetcher {
 
     /// Called on an L2 demand miss at `line`; returns a line to prefetch
     /// (if the miss extends a forward stream).
+    #[inline]
     pub fn on_miss(&mut self, line: u64) -> Option<u64> {
         if !self.enabled {
             return None;

@@ -65,6 +65,7 @@ impl Tlb {
     /// Look up `vpn`. On a hit returns the cached PPN; on a miss returns
     /// `None` (the caller performs the page walk and then calls
     /// [`Tlb::insert`]).
+    #[inline]
     pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
         self.lookups += 1;
         let si = (vpn & self.set_mask) as usize;

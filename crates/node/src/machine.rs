@@ -160,6 +160,47 @@ pub struct RunStats {
     pub rapl: RaplCounters,
 }
 
+/// One-entry memo of a charge's time conversion at the current rung:
+/// `(cycles, ns)` → `(unhalted_ns, wall_ns)`, keyed on the exact bits of
+/// the inputs. A workload charges only a handful of distinct values per
+/// rung (an L1 hit, a fetched block, an L2 hit…), so runs of identical
+/// charges skip the two divisions and the P-state lookup. A miss computes
+/// the value with the same expressions, so a hit is bit-exact by
+/// construction; [`Machine::set_rung`] clears the memo whenever frequency
+/// or duty can change.
+#[derive(Clone, Copy, Debug)]
+struct ChargeMemo {
+    key: (u64, u64),
+    val: (f64, f64),
+}
+
+impl ChargeMemo {
+    /// Zero cycles plus zero ns take `(+0.0, +0.0)` at every rung, so the
+    /// cleared entry is exact without knowing the rung.
+    const CLEAR: ChargeMemo = ChargeMemo { key: (0, 0), val: (0.0, 0.0) };
+
+    #[inline]
+    fn times(&mut self, cycles: f64, ns: f64, pstates: &PStateTable, rung: &Rung) -> (f64, f64) {
+        let key = (cycles.to_bits(), ns.to_bits());
+        let compute = || {
+            let unhalted_ns = cycles * 1e3 / pstates.get(rung.pstate).freq_mhz;
+            (unhalted_ns, unhalted_ns / rung.tstate.duty() + ns)
+        };
+        if self.key == key {
+            let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+            debug_assert_eq!(
+                bits(compute()),
+                bits(self.val),
+                "charge memo diverged from the recomputed conversion for {cycles} cycles + {ns} ns"
+            );
+            return self.val;
+        }
+        self.key = key;
+        self.val = compute();
+        self.val
+    }
+}
+
 struct CoreState {
     counters: CounterFile,
     unhalted_cycles_f: f64,
@@ -222,7 +263,10 @@ pub struct Machine {
     clock: SimClock,
     cores: Vec<CoreState>,
     active_core: usize,
+    /// Changed only through [`Machine::set_rung`], which keeps
+    /// `charge_memo` in step with it.
     rung: Rung,
+    charge_memo: ChargeMemo,
     bmc: Bmc,
     bmc_port: Option<BmcPort>,
     freq_meter: FreqMeter,
@@ -293,6 +337,7 @@ impl Machine {
             cores,
             active_core: 0,
             rung,
+            charge_memo: ChargeMemo::CLEAR,
             bmc: Bmc::new(ladder),
             bmc_port: None,
             freq_meter: FreqMeter::new(),
@@ -415,19 +460,11 @@ impl Machine {
 
     // ------------------------------------------------------------- charges
 
-    #[inline]
-    fn freq_mhz(&self) -> f64 {
-        self.pstates.get(self.rung.pstate).freq_mhz
-    }
-
     /// Charge `cycles` core cycles plus `ns` fixed nanoseconds to the
     /// active core and advance time.
     #[inline]
     fn charge(&mut self, cycles: f64, ns: f64) {
-        let f = self.freq_mhz();
-        let duty = self.rung.tstate.duty();
-        let unhalted_ns = cycles * 1e3 / f;
-        let wall_ns = unhalted_ns / duty + ns;
+        let (unhalted_ns, wall_ns) = self.charge_memo.times(cycles, ns, &self.pstates, &self.rung);
         self.freq_meter.record(cycles, unhalted_ns);
         let core = &mut self.cores[self.active_core];
         core.unhalted_cycles_f += cycles;
@@ -545,15 +582,15 @@ impl Machine {
         self.data_stream(base, window, start, stride, count, true);
     }
 
-    /// Batched load-stream engine. Per-access work that only a control
-    /// tick can change — the rung's frequency and T-state duty, the
-    /// timing exposure factors — is hoisted out of the access loop, and
-    /// the loop borrows the hierarchy/clock/counters once instead of
-    /// re-resolving `&mut self` per access. The arithmetic is kept
-    /// expression-for-expression identical to [`Machine::data_op`] +
-    /// [`Machine::charge`] and the loop breaks out to [`Machine::tick`]
-    /// at exactly the boundaries the per-access path would have hit, so
-    /// the batch is bit-exact with calling [`Machine::load`] in a loop.
+    /// Batched load-stream engine. The timing exposure factors are
+    /// hoisted out of the access loop, and the loop borrows the
+    /// hierarchy/clock/counters once instead of re-resolving `&mut self`
+    /// per access. The arithmetic is kept expression-for-expression
+    /// identical to [`Machine::data_op`], the time conversion goes
+    /// through the same [`ChargeMemo`] as [`Machine::charge`], and the
+    /// loop breaks out to [`Machine::tick`] at exactly the boundaries the
+    /// per-access path would have hit, so the batch is bit-exact with
+    /// calling [`Machine::load`] in a loop.
     fn data_stream(
         &mut self,
         base: VAddr,
@@ -572,10 +609,19 @@ impl Machine {
         let advance = core_idx == 0;
         let mut i = 0u64;
         while i < count {
-            let f = self.freq_mhz();
-            let duty = self.rung.tstate.duty();
             let next_tick_ns = self.next_tick_ns;
-            let Machine { hier, clock, freq_meter, cores, win_instr, win_cycles, .. } = self;
+            let Machine {
+                hier,
+                clock,
+                freq_meter,
+                cores,
+                win_instr,
+                win_cycles,
+                charge_memo,
+                pstates,
+                rung,
+                ..
+            } = self;
             let core = &mut cores[core_idx];
             let mut last_vaddr = self.last_data_vaddr;
             while i < count {
@@ -594,8 +640,7 @@ impl Machine {
                         out.ns * dram_exposed,
                     )
                 };
-                let unhalted_ns = cycles * 1e3 / f;
-                let wall_ns = unhalted_ns / duty + ns;
+                let (unhalted_ns, wall_ns) = charge_memo.times(cycles, ns, pstates, rung);
                 freq_meter.record(cycles, unhalted_ns);
                 core.unhalted_cycles_f += cycles;
                 core.win_wall_ns += wall_ns;
@@ -988,8 +1033,8 @@ impl Machine {
     /// Force a P-state/T-state directly, bypassing the BMC (ground truth
     /// for detector tests; capped experiments let the BMC decide).
     pub fn force_throttle(&mut self, pstate: u8, duty_16: u8) {
-        self.rung.pstate = pstate;
-        self.rung.tstate = capsim_cpu::TState::of_16(duty_16);
+        let tstate = capsim_cpu::TState::of_16(duty_16);
+        self.set_rung(Rung { pstate, tstate, ..self.rung });
     }
 
     /// Apply a memory-side reconfiguration directly, bypassing the BMC.
@@ -997,14 +1042,21 @@ impl Machine {
     /// experiments let the BMC drive reconfiguration instead.
     pub fn apply_mem_reconfig(&mut self, r: capsim_mem::MemReconfig) {
         self.hier.apply(r);
-        self.rung.mem = r;
+        self.set_rung(Rung { mem: r, ..self.rung });
     }
 
     fn apply_rung(&mut self, rung: Rung) {
         if rung.mem != self.rung.mem {
             self.hier.apply(rung.mem);
         }
+        self.set_rung(rung);
+    }
+
+    /// The one place `self.rung` changes: a new frequency or duty makes
+    /// the memoized charge conversion stale.
+    fn set_rung(&mut self, rung: Rung) {
         self.rung = rung;
+        self.charge_memo = ChargeMemo::CLEAR;
     }
 
     // -------------------------------------------------------------- results
@@ -1323,6 +1375,78 @@ mod tests {
         assert!(pp0 > 0.0 && pp0 <= pkg);
         assert!(pkg + dram < s.energy_j, "RAPL excludes platform overhead");
         assert!(pkg > s.energy_j * 0.15, "package is a real share of wall energy");
+    }
+
+    #[test]
+    fn load_stream_matches_a_load_loop_across_rung_changes() {
+        let mut cfg = MachineConfig::tiny(21);
+        cfg.control_period_us = 10.0;
+        cfg.meter_window_s = 0.0002;
+        for serial in [false, true] {
+            let mk = || {
+                let mut m = Machine::new(cfg.clone());
+                m.set_power_cap(Some(PowerCap::new(120.0).unwrap()));
+                m
+            };
+            let (mut batched, mut looped) = (mk(), mk());
+            let region = batched.alloc(256 * 1024);
+            assert_eq!(looped.alloc(256 * 1024).base(), region.base());
+            let initial = batched.current_rung();
+            // A page-plus-a-line stride: TLB, cache and DRAM misses mixed
+            // with hits, so the charges vary and ticks land mid-stream.
+            let (start, stride, count) = (192, PAGE_SIZE + 64, 60_000);
+            let base = region.base();
+            if serial {
+                batched.load_serial_stream(base, region.bytes(), start, stride, count);
+            } else {
+                batched.load_stream(base, region.bytes(), start, stride, count);
+            }
+            for i in 0..count {
+                let addr = VAddr(base.0 + (start + stride * i) % region.bytes());
+                if serial {
+                    looped.load_serial(addr);
+                } else {
+                    looped.load(addr);
+                }
+            }
+            assert_ne!(batched.current_rung(), initial, "serial={serial}: the cap moved the rung");
+            assert_eq!(batched.current_rung(), looped.current_rung(), "serial={serial}");
+            assert_eq!(batched.now_s().to_bits(), looped.now_s().to_bits(), "serial={serial}");
+            assert_eq!(batched.counters_now(), looped.counters_now(), "serial={serial}");
+            assert_eq!(batched.mem_stats_now(), looped.mem_stats_now(), "serial={serial}");
+            let bits = |m: &Machine| {
+                let (cycles, ns) = m.freq_meter().totals();
+                (cycles.to_bits(), ns.to_bits())
+            };
+            assert_eq!(bits(&batched), bits(&looped), "serial={serial}");
+        }
+    }
+
+    #[test]
+    fn a_rung_change_invalidates_the_charge_memo() {
+        // 8100 instructions are 2700 cycles: 1000 ns at P0, and whole
+        // nanoseconds at the target rungs too, so every clock sum below is
+        // exact and the advance can be compared bit for bit.
+        for (pstate, duty_16) in [(15, 4), (0, 8)] {
+            let mut m = machine();
+            m.compute(8100);
+            m.compute(8100); // a memo hit at P0
+            assert_eq!(m.clock.now_ns(), 2000.0);
+            m.force_throttle(pstate, duty_16);
+            let before = m.clock.now_ns();
+            m.compute(8100);
+            let advance = m.clock.now_ns() - before;
+
+            let mut fresh = machine();
+            fresh.force_throttle(pstate, duty_16);
+            fresh.compute(8100);
+            assert_eq!(
+                advance.to_bits(),
+                fresh.clock.now_ns().to_bits(),
+                "rung ({pstate}, {duty_16})"
+            );
+            assert_ne!(advance, 1000.0, "the P0 conversion was not reused");
+        }
     }
 
     #[test]
