@@ -8,6 +8,13 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== no host timing in the simulator: every management wait is counted in BMC polls"
+if grep -rnE 'std::time|Instant::|thread::(spawn|sleep)' crates/*/src src tests examples --include=*.rs \
+    | grep -v '^crates/bench/src/bin/'; then
+  echo "host-timing dependence outside crates/bench/src/bin/ (listed above)"
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, benches, tests; warnings are errors)"
 cargo clippy --workspace --benches --tests -q -- -D warnings
 
@@ -39,6 +46,10 @@ CAPSIM_SCALE=test cargo run -q --release -p capsim-bench --bin policy /tmp/BENCH
 echo "== traffic smoke (CAPSIM_SCALE=test: emergency replay twins, cap ladder, SLO/J frontier,"
 echo "   retry storm with closed-loop clients + failover)"
 CAPSIM_SCALE=test cargo run -q --release -p capsim-bench --bin traffic /tmp/BENCH_traffic_ci.json >/dev/null
+
+echo "== datacenter smoke (DCM budgets three nodes mid-run over pumped IPMI links;"
+echo "   asserts caps sum within the budget and every node's BMC escalated)"
+cargo run -q --release --example datacenter >/dev/null
 
 echo "== closed-loop smoke (retry-storm fleet, serial vs parallel byte-compared inline)"
 cargo run -q --release --example closed_loop >/dev/null

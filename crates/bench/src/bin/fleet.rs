@@ -26,7 +26,7 @@
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Instant;
 
-use capsim_dcm::FleetBuilder;
+use capsim_dcm::{FleetBuilder, WorkloadSpec};
 use capsim_ipmi::FaultSpec;
 
 /// One measured configuration.
@@ -64,7 +64,7 @@ fn measure(p: &Point) -> (f64, usize, u64) {
         .nodes(p.nodes)
         .epochs(p.epochs)
         .seed(7)
-        .datacenter_mix(p.datacenter)
+        .workload(if p.datacenter { WorkloadSpec::DatacenterMix } else { WorkloadSpec::RoundRobin })
         .parallel(p.parallel);
     if p.lossy {
         b = b.faults(FaultSpec::lossy(0.05));

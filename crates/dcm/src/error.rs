@@ -16,24 +16,15 @@ use crate::manager::NodeId;
 pub enum DcmError {
     /// An IPMI transaction with a node failed.
     Ipmi { node: NodeId, name: String, source: IpmiError },
-    /// The node is registered without an owned link; the caller must use
-    /// a `*_via` method and supply the transport.
-    Unlinked { node: NodeId, name: String },
     /// The `NodeId` does not belong to this manager.
     UnknownNode(NodeId),
-    /// A monitor built for `monitored` nodes was polled against a manager
-    /// that now registers fewer (`registered`); histories would silently
-    /// misattribute by index, so the poll refuses.
-    MonitorShrunk { monitored: usize, registered: usize },
 }
 
 impl DcmError {
-    /// The node the failure is attributed to (if any).
-    pub fn node(&self) -> Option<NodeId> {
+    /// The node the failure is attributed to.
+    pub fn node(&self) -> NodeId {
         match self {
-            DcmError::Ipmi { node, .. } | DcmError::Unlinked { node, .. } => Some(*node),
-            DcmError::UnknownNode(n) => Some(*n),
-            DcmError::MonitorShrunk { .. } => None,
+            DcmError::Ipmi { node, .. } | DcmError::UnknownNode(node) => *node,
         }
     }
 
@@ -49,14 +40,7 @@ impl fmt::Display for DcmError {
             DcmError::Ipmi { node, name, source } => {
                 write!(f, "node {} ({name}): {source}", node.index())
             }
-            DcmError::Unlinked { node, name } => {
-                write!(f, "node {} ({name}) has no owned link; use a *_via method", node.index())
-            }
             DcmError::UnknownNode(n) => write!(f, "unknown node id {}", n.index()),
-            DcmError::MonitorShrunk { monitored, registered } => write!(
-                f,
-                "monitor tracks {monitored} nodes but the manager registers only {registered}"
-            ),
         }
     }
 }
@@ -81,7 +65,7 @@ mod tests {
             name: "rack1-n3".into(),
             source: IpmiError::TimedOut,
         };
-        assert_eq!(e.node().unwrap().index(), 3);
+        assert_eq!(e.node().index(), 3);
         assert!(e.is_transient());
         let msg = e.to_string();
         assert!(msg.contains("rack1-n3") && msg.contains("timed out"), "{msg}");

@@ -44,7 +44,9 @@
 //! Because the manager cannot block on a node that lives on the same
 //! thread, wire traffic flows through [`PumpedLink`]: each delivery poll
 //! services the node's BMC, so request, firmware handling and response
-//! all happen inside the barrier, in deterministic order.
+//! all happen inside the barrier, in deterministic order. Its poll-counted
+//! wait, [`ManagerPort::transact_polled`], is the only way a manager waits
+//! for a BMC.
 
 use capsim_ipmi::sel::SelEntry;
 use capsim_ipmi::{
@@ -60,8 +62,8 @@ use capsim_policy::CapPolicy;
 use rayon::prelude::*;
 
 use crate::manager::{CapPushOutcome, Dcm, NodeHealth, NodeId};
-use crate::monitor::{read_sel_via, violation_count};
-use crate::policy::AllocationPolicy;
+use crate::monitor::{read_sel, violation_count};
+use capsim_policy::AllocationPolicy;
 
 /// Bucket upper edges (watts) for the per-node power histogram sampled at
 /// every barrier. Centered on the paper's 95–170 W measurement band.
@@ -69,9 +71,9 @@ static FLEET_POWER_BOUNDS: [f64; 8] = [110.0, 120.0, 125.0, 130.0, 135.0, 140.0,
 
 /// A [`Transact`] link for lock-step topologies: the manager and the node
 /// live on the same thread, so instead of blocking on the wire, each
-/// delivery poll pumps the node's BMC service loop. Wait budgets are
-/// counted in polls, not wall-clock time — transactions are fully
-/// deterministic.
+/// delivery poll of [`ManagerPort::transact_polled`] pumps the node's BMC
+/// service loop. Wait budgets are counted in polls, not wall-clock time —
+/// transactions are fully deterministic.
 pub struct PumpedLink<'a> {
     port: &'a mut ManagerPort,
     machine: &'a mut Machine,
@@ -95,22 +97,8 @@ impl Transact for PumpedLink<'_> {
     }
 
     fn transact(&mut self, req: &Request) -> Result<Response, IpmiError> {
-        self.port.send(req)?;
-        let budget = self.polls_per_attempt.saturating_mul(self.patience);
-        for _ in 0..budget {
-            self.machine.service_bmc();
-            match self.port.try_recv() {
-                Ok(Some(resp))
-                    if resp.seq == req.seq && resp.cmd == req.cmd && resp.netfn == req.netfn =>
-                {
-                    return Ok(resp)
-                }
-                Ok(Some(_)) => {} // stale response to an earlier attempt
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(IpmiError::TimedOut)
+        let polls = self.polls_per_attempt.saturating_mul(self.patience);
+        self.port.transact_polled(req, polls, || self.machine.service_bmc())
     }
 
     fn set_patience(&mut self, factor: u32) {
@@ -765,28 +753,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Give every node the same workload kind instead of the default
-    /// round-robin Compute/Stream/Mixed assignment. Shorthand for
-    /// [`FleetBuilder::workload`] with [`WorkloadSpec::Uniform`].
-    pub fn uniform_load(self, kind: LoadKind) -> Self {
-        self.workload(WorkloadSpec::Uniform(kind))
-    }
-
-    /// Assign loads with [`LoadKind::datacenter_for_index`] — a mostly
-    /// idle, bursty utilization profile — instead of the round-robin
-    /// busy default. Ignored when an explicit workload
-    /// ([`FleetBuilder::uniform_load`] / [`FleetBuilder::workload`]) is
-    /// already set; `datacenter_mix(false)` restores the round-robin
-    /// default.
-    pub fn datacenter_mix(mut self, on: bool) -> Self {
-        self.workload = match (on, &self.workload) {
-            (true, WorkloadSpec::RoundRobin) => WorkloadSpec::DatacenterMix,
-            (false, WorkloadSpec::DatacenterMix) => WorkloadSpec::RoundRobin,
-            _ => return self,
-        };
-        self
-    }
-
     /// Number of group-manager shards (clamped to `1..=nodes` at build).
     /// Any value produces byte-identical results; this knob only decides
     /// how wire work is split across workers. Default: automatic —
@@ -1005,7 +971,7 @@ impl Fleet {
         let retry = self.dcm.retry;
         let n = &mut self.nodes[index];
         let mut link = PumpedLink::new(&mut n.port, &mut n.machine, self.polls_per_attempt);
-        read_sel_via(&mut link, &retry)
+        read_sel(&mut link, &retry)
     }
 
     /// Number of group-manager shards the fleet was built with.
@@ -1514,7 +1480,7 @@ impl Fleet {
             let stats: RunStats = n.machine.finish_run();
             let sel_violations = if audit {
                 let mut link = PumpedLink::new(&mut n.port, &mut n.machine, polls);
-                read_sel_via(&mut link, &retry).map(|e| violation_count(&e)).unwrap_or(0)
+                read_sel(&mut link, &retry).map(|e| violation_count(&e)).unwrap_or(0)
             } else {
                 0
             };
@@ -1659,7 +1625,7 @@ mod tests {
                 .nodes(8)
                 .epochs(6)
                 .seed(7)
-                .datacenter_mix(true)
+                .workload(WorkloadSpec::DatacenterMix)
                 .observe(observe)
                 .build()
                 .run()

@@ -1,32 +1,30 @@
 //! The manager itself: per-node DCMI transactions, health tracking and
 //! group budgeting.
 //!
-//! Nodes are addressed by opaque [`NodeId`] handles. A node may be
-//! registered *with* an owned transport ([`Dcm::register_link`] — the
-//! live-threaded topology where each BMC runs on its own thread) or
-//! *without* one ([`Dcm::register`] — the lock-step fleet engine, which
-//! owns the machines and supplies a pumped [`Transact`] link at each
-//! control barrier via the `*_via` methods).
+//! Nodes are addressed by opaque [`NodeId`] handles from
+//! [`Dcm::register`]. The manager owns no transport: every operation takes
+//! the caller's [`Transact`] link (the fleet engine hands it a pumped link
+//! at each control barrier), so a node's BMC is served on the caller's
+//! thread in poll-counted steps.
 //!
-//! Every transaction runs under the manager's [`RetryPolicy`]; outcomes
-//! feed per-node [`NodeHealth`], and [`Dcm::plan_allocation`] divides the
-//! group budget over *responsive* nodes only — an unresponsive node's
-//! share is reallocated to its healthy peers (degraded-mode operation)
-//! rather than stranded on a node that cannot hear its cap anyway.
+//! Every operation is one path: capture the wire outcome under the
+//! manager's [`RetryPolicy`], then absorb it into observability and
+//! per-node [`NodeHealth`]. The sharded fleet captures on group workers
+//! and absorbs at the root; the operations below do both back to back.
+//! [`Dcm::plan_allocation`] divides the group budget over *responsive*
+//! nodes only — an unresponsive node's share is reallocated to its healthy
+//! peers (degraded-mode operation) rather than stranded on a node that
+//! cannot hear its cap anyway.
 
 use capsim_ipmi::dcmi::{
     ActivatePowerLimit, ExceptionAction, GetPowerLimit, GetPowerReading, PowerLimit, PowerReading,
     SetPowerLimit,
 };
-use capsim_ipmi::{
-    transact_retry_observed, CompletionCode, IpmiError, Request, Response, RetryPolicy, Transact,
-    WireOutcome,
-};
+use capsim_ipmi::{CompletionCode, IpmiError, Response, RetryPolicy, Transact, WireOutcome};
 use capsim_obs::{EventKind, Obs};
 
 use crate::error::DcmError;
-use crate::policy::{allocate, AllocationPolicy};
-use capsim_policy::{CapPolicy, GroupDemand};
+use capsim_policy::{allocate, AllocationPolicy, CapPolicy, GroupDemand};
 
 fn health_label(h: NodeHealth) -> &'static str {
     match h {
@@ -37,8 +35,8 @@ fn health_label(h: NodeHealth) -> &'static str {
 }
 
 /// Opaque handle to a node registered with a [`Dcm`]. Obtained from
-/// [`Dcm::register`]/[`Dcm::register_link`]; there is no public way to
-/// fabricate one from a raw index.
+/// [`Dcm::register`]; there is no public way to fabricate one from a raw
+/// index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(u32);
 
@@ -77,7 +75,6 @@ impl NodeHealth {
 
 struct NodeEntry {
     name: String,
-    link: Option<Box<dyn Transact + Send>>,
     health: NodeHealth,
     consecutive_failures: u32,
     last_cap_w: Option<f64>,
@@ -90,10 +87,9 @@ struct NodeEntry {
     cap_violating: bool,
 }
 
-/// A cap push as captured on a group manager's worker: the *Set Power
-/// Limit* outcome plus — only when the set came back with an OK
-/// completion — the *Activate Power Limit* outcome, mirroring the
-/// short-circuit in [`Dcm::cap_node_via`]. Absorbed at the root via
+/// A captured cap push: the *Set Power Limit* outcome plus — only when the
+/// set came back with an OK completion — the *Activate Power Limit*
+/// outcome (a limit the node refused is never activated). Absorbed via
 /// [`Dcm::absorb_cap_push`].
 #[derive(Debug)]
 pub struct CapPushOutcome {
@@ -160,27 +156,11 @@ impl Dcm {
         self.obs_now_s = t_s;
     }
 
-    /// Register a node without an owned transport. Use the `*_via`
-    /// methods with a caller-supplied [`Transact`] link (the lock-step
-    /// fleet engine does this at every control barrier).
+    /// Register a node. Its operations take the caller's [`Transact`]
+    /// link to the node's BMC.
     pub fn register(&mut self, name: impl Into<String>) -> NodeId {
-        self.push(name.into(), None)
-    }
-
-    /// Register a node with an owned transport (live topology: the BMC is
-    /// serviced elsewhere, e.g. on its own thread).
-    pub fn register_link(
-        &mut self,
-        name: impl Into<String>,
-        link: impl Transact + Send + 'static,
-    ) -> NodeId {
-        self.push(name.into(), Some(Box::new(link)))
-    }
-
-    fn push(&mut self, name: String, link: Option<Box<dyn Transact + Send>>) -> NodeId {
         self.nodes.push(NodeEntry {
-            name,
-            link,
+            name: name.into(),
             health: NodeHealth::Healthy,
             consecutive_failures: 0,
             last_cap_w: None,
@@ -205,10 +185,6 @@ impl Dcm {
     /// The handle at a registration position (parallel-array bridging).
     pub fn id_at(&self, index: usize) -> Option<NodeId> {
         (index < self.nodes.len()).then(|| NodeId::from_index(index))
-    }
-
-    fn entry(&self, node: NodeId) -> Result<&NodeEntry, DcmError> {
-        self.nodes.get(node.index()).ok_or(DcmError::UnknownNode(node))
     }
 
     pub fn node_name(&self, node: NodeId) -> &str {
@@ -313,111 +289,23 @@ impl Dcm {
         DcmError::Ipmi { node, name: self.nodes[node.index()].name.clone(), source }
     }
 
-    /// Run one retried transaction against the node's *owned* link,
-    /// updating health from the outcome.
-    fn transact_owned(
-        &mut self,
-        node: NodeId,
-        build: &dyn Fn(u8) -> Request,
-    ) -> Result<Response, DcmError> {
-        self.entry(node)?;
-        let retry = self.retry;
-        let t_s = self.obs_now_s;
-        let e = &mut self.nodes[node.index()];
-        let link =
-            e.link.as_mut().ok_or_else(|| DcmError::Unlinked { node, name: e.name.clone() })?;
-        let out = transact_retry_observed(
-            link.as_mut(),
-            &retry,
-            build,
-            &mut self.obs,
-            t_s,
-            Some(node.index() as u32),
-        );
-        self.settle(node, out)
-    }
-
-    /// Run one retried transaction over a caller-supplied link, updating
-    /// health from the outcome.
-    fn transact_via(
-        &mut self,
-        node: NodeId,
-        link: &mut dyn Transact,
-        build: &dyn Fn(u8) -> Request,
-    ) -> Result<Response, DcmError> {
-        self.entry(node)?;
-        let retry = self.retry;
-        let t_s = self.obs_now_s;
-        let out = transact_retry_observed(
-            link,
-            &retry,
-            build,
-            &mut self.obs,
-            t_s,
-            Some(node.index() as u32),
-        );
-        self.settle(node, out)
-    }
-
-    fn settle(
-        &mut self,
-        node: NodeId,
-        out: Result<Response, IpmiError>,
-    ) -> Result<Response, DcmError> {
-        match out {
-            Ok(resp) => {
-                self.record_success(node);
-                Ok(resp)
-            }
-            Err(e) => {
-                self.record_failure(node);
-                Err(self.wrap_err(node, e))
-            }
-        }
-    }
-
-    /// Run a caller-defined command sequence over a node's owned link,
-    /// updating health from the outcome. The closure sees only the
-    /// narrow [`Transact`] interface, never the raw port — this is the
-    /// sanctioned replacement for the old `port_mut` escape hatch.
-    pub fn with_link<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut dyn Transact) -> Result<R, IpmiError>,
-    ) -> Result<R, DcmError> {
-        self.entry(node)?;
-        let e = &mut self.nodes[node.index()];
-        let link =
-            e.link.as_mut().ok_or_else(|| DcmError::Unlinked { node, name: e.name.clone() })?;
-        match f(link.as_mut()) {
-            Ok(r) => {
-                self.record_success(node);
-                Ok(r)
-            }
-            Err(err) => {
-                self.record_failure(node);
-                Err(self.wrap_err(node, err))
-            }
-        }
-    }
-
-    // ------------------------------------------------- deferred wire outcomes
+    // ------------------------------------------------------ absorbing outcomes
     //
-    // Sharded lock-step fleets split wire work across group managers: each
-    // group runs its shard's transactions on a worker (own link, own BMC,
-    // so outcomes cannot depend on the sharding), captures them as
-    // [`WireOutcome`]s, and the root absorbs them here serially in
-    // canonical node order. The absorb path replays exactly what running
-    // the transaction through the manager would have recorded — the same
-    // counters, events and health transitions in the same order — so the
-    // observability stream is byte-identical whether the fleet ran with
-    // one group or fifty.
+    // Every transaction is captured as a [`WireOutcome`] first and absorbed
+    // here second. Sharded lock-step fleets capture on group workers (own
+    // link, own BMC, so outcomes cannot depend on the sharding) and the
+    // root absorbs serially in canonical node order; the transactions
+    // below capture and absorb back to back. Either way the manager
+    // records the same counters, events and health transitions in the same
+    // order, so the observability stream is byte-identical whether the
+    // fleet ran with one group or fifty.
 
-    /// Replay one captured outcome into observability and health
-    /// tracking, exactly as [`transact_retry_observed`] + settling would
-    /// have.
+    /// Record one captured outcome into observability and health tracking:
+    /// `ipmi.transactions` / `ipmi.attempts` / `ipmi.retries` /
+    /// `ipmi.timeouts` counters, a `Retry` event when a command needed
+    /// more than one attempt and a `Timeout` event when the budget ran out.
     fn absorb(&mut self, node: NodeId, out: WireOutcome) -> Result<Response, DcmError> {
-        self.entry(node)?;
+        self.nodes.get(node.index()).ok_or(DcmError::UnknownNode(node))?;
         if self.obs.is_enabled() {
             let t_s = self.obs_now_s;
             let n = Some(node.index() as u32);
@@ -441,7 +329,16 @@ impl Dcm {
                 _ => {}
             }
         }
-        self.settle(node, out.result)
+        match out.result {
+            Ok(resp) => {
+                self.record_success(node);
+                Ok(resp)
+            }
+            Err(e) => {
+                self.record_failure(node);
+                Err(self.wrap_err(node, e))
+            }
+        }
     }
 
     /// Absorb a captured DCMI *Get Power Reading* poll.
@@ -451,12 +348,11 @@ impl Dcm {
         out: WireOutcome,
     ) -> Result<PowerReading, DcmError> {
         let resp = self.absorb(node, out)?;
-        self.decode_reading(node, resp)
+        resp.into_ok().and_then(|p| PowerReading::decode(&p)).map_err(|e| self.wrap_err(node, e))
     }
 
     /// Absorb a captured Set+Activate cap push (see [`CapPushOutcome`]).
-    /// On full success the cap is remembered and counted exactly as
-    /// [`Dcm::cap_node_via`] would have.
+    /// On full success the cap is remembered and counted.
     pub fn absorb_cap_push(
         &mut self,
         node: NodeId,
@@ -473,24 +369,14 @@ impl Dcm {
 
     // ---------------------------------------------------------- transactions
 
-    /// DCMI *Get Power Reading* from one node (owned link).
-    pub fn read_power(&mut self, node: NodeId) -> Result<PowerReading, DcmError> {
-        let resp = self.transact_owned(node, &|seq| GetPowerReading::request(seq))?;
-        self.decode_reading(node, resp)
-    }
-
-    /// DCMI *Get Power Reading* over a caller-supplied link.
-    pub fn read_power_via(
+    /// DCMI *Get Power Reading* from one node over `link`.
+    pub fn read_power(
         &mut self,
         node: NodeId,
         link: &mut dyn Transact,
     ) -> Result<PowerReading, DcmError> {
-        let resp = self.transact_via(node, link, &|seq| GetPowerReading::request(seq))?;
-        self.decode_reading(node, resp)
-    }
-
-    fn decode_reading(&self, node: NodeId, resp: Response) -> Result<PowerReading, DcmError> {
-        resp.into_ok().and_then(|p| PowerReading::decode(&p)).map_err(|e| self.wrap_err(node, e))
+        let out = WireOutcome::capture(link, &self.retry, &|seq| GetPowerReading::request(seq));
+        self.absorb_power_poll(node, out)
     }
 
     /// The DCMI limit this manager pushes for a cap of `watts` (group
@@ -504,74 +390,35 @@ impl Dcm {
         }
     }
 
-    /// Set and activate a cap on one node (owned link).
-    pub fn cap_node(&mut self, node: NodeId, watts: f64) -> Result<(), DcmError> {
-        let limit = self.limit_for(watts);
-        self.transact_owned(node, &move |seq| SetPowerLimit(limit).request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.transact_owned(node, &|seq| ActivatePowerLimit { activate: true }.request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.nodes[node.index()].last_cap_w = Some(watts);
-        self.obs.metrics.inc("dcm.caps_pushed");
-        Ok(())
-    }
-
-    /// Set and activate a cap over a caller-supplied link.
-    pub fn cap_node_via(
+    /// Set and activate a cap on one node over `link`.
+    pub fn cap_node(
         &mut self,
         node: NodeId,
         link: &mut dyn Transact,
         watts: f64,
     ) -> Result<(), DcmError> {
-        let limit = self.limit_for(watts);
-        self.transact_via(node, link, &move |seq| SetPowerLimit(limit).request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.transact_via(node, link, &|seq| ActivatePowerLimit { activate: true }.request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.nodes[node.index()].last_cap_w = Some(watts);
-        self.obs.metrics.inc("dcm.caps_pushed");
-        Ok(())
+        let push = CapPushOutcome::capture(link, &self.retry, self.limit_for(watts));
+        self.absorb_cap_push(node, watts, push)
     }
 
-    /// Deactivate a node's cap (owned link).
-    pub fn uncap_node(&mut self, node: NodeId) -> Result<(), DcmError> {
-        self.transact_owned(node, &|seq| ActivatePowerLimit { activate: false }.request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
+    /// Deactivate a node's cap over `link`.
+    pub fn uncap_node(&mut self, node: NodeId, link: &mut dyn Transact) -> Result<(), DcmError> {
+        let out = WireOutcome::capture(link, &self.retry, &|seq| {
+            ActivatePowerLimit { activate: false }.request(seq)
+        });
+        self.absorb(node, out)?.into_ok().map_err(|e| self.wrap_err(node, e))?;
         self.nodes[node.index()].last_cap_w = None;
         Ok(())
     }
 
-    /// Deactivate a node's cap over a caller-supplied link.
-    pub fn uncap_node_via(
-        &mut self,
-        node: NodeId,
-        link: &mut dyn Transact,
-    ) -> Result<(), DcmError> {
-        self.transact_via(node, link, &|seq| ActivatePowerLimit { activate: false }.request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.nodes[node.index()].last_cap_w = None;
-        Ok(())
-    }
-
-    /// Read back the limit stored on a node (owned link).
-    pub fn node_limit(&mut self, node: NodeId) -> Result<PowerLimit, DcmError> {
-        let resp = self.transact_owned(node, &|seq| GetPowerLimit::request(seq))?;
-        resp.into_ok().and_then(|p| PowerLimit::decode(&p)).map_err(|e| self.wrap_err(node, e))
-    }
-
-    /// Read back the limit over a caller-supplied link.
-    pub fn node_limit_via(
+    /// Read back the limit stored on a node over `link`.
+    pub fn node_limit(
         &mut self,
         node: NodeId,
         link: &mut dyn Transact,
     ) -> Result<PowerLimit, DcmError> {
-        let resp = self.transact_via(node, link, &|seq| GetPowerLimit::request(seq))?;
+        let out = WireOutcome::capture(link, &self.retry, &|seq| GetPowerLimit::request(seq));
+        let resp = self.absorb(node, out)?;
         resp.into_ok().and_then(|p| PowerLimit::decode(&p)).map_err(|e| self.wrap_err(node, e))
     }
 
@@ -634,41 +481,6 @@ impl Dcm {
         let caps = policy.group_allocate(budget_w, &group, self.floor_w);
         demand.iter().map(|&(id, _)| id).zip(caps).collect()
     }
-
-    /// One full budgeting round over owned links: read power from every
-    /// responsive node, reallocate `budget_w` over the nodes that
-    /// answered, and push the resulting caps. Per-node failures update
-    /// health and shrink the allocation set; they do not abort the round.
-    /// Returns the caps pushed.
-    pub fn apply_group_budget(
-        &mut self,
-        budget_w: f64,
-        policy: &AllocationPolicy,
-    ) -> Result<Vec<(NodeId, f64)>, DcmError> {
-        let mut demand = Vec::with_capacity(self.nodes.len());
-        for node in self.node_ids() {
-            // Probe even unresponsive nodes (cheaply they may have come
-            // back), but their failure must not burn the whole retry
-            // budget every round.
-            match self.read_power(node) {
-                Ok(r) => demand.push((node, r.current_w as f64)),
-                Err(e) if e.is_transient() => {}
-                Err(DcmError::Ipmi { source: IpmiError::ChannelClosed, .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let caps = self.plan_allocation(budget_w, policy, &demand);
-        let mut pushed = Vec::with_capacity(caps.len());
-        for (node, cap) in caps {
-            match self.cap_node(node, cap) {
-                Ok(()) => pushed.push((node, cap)),
-                Err(e) if e.is_transient() => {}
-                Err(DcmError::Ipmi { source: IpmiError::ChannelClosed, .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(pushed)
-    }
 }
 
 impl Default for Dcm {
@@ -681,20 +493,24 @@ impl Default for Dcm {
 mod tests {
     use super::*;
     use capsim_cpu::PStateTable;
-    use capsim_ipmi::LanChannel;
+    use capsim_ipmi::{BmcPort, FaultSpec, LanChannel, ManagerPort, Request};
     use capsim_mem::MemReconfig;
     use capsim_node::bmc::{Bmc, BmcTelemetry};
     use capsim_node::ThrottleLadder;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
-    /// Run a standalone BMC service loop on a thread until `stop` is set.
-    fn spawn_bmc(
-        power_w: f64,
-        port: capsim_ipmi::BmcPort,
-        stop: Arc<AtomicBool>,
-    ) -> std::thread::JoinHandle<Bmc> {
-        std::thread::spawn(move || {
+    /// A link to a standalone BMC reporting a fixed power draw. Each
+    /// delivery poll serves the BMC once: the fleet's `PumpedLink`
+    /// discipline without a machine behind it.
+    struct BmcLink {
+        port: ManagerPort,
+        /// `None` once the node is unplugged.
+        bmc_port: Option<BmcPort>,
+        bmc: Bmc,
+        patience: u32,
+    }
+
+    impl BmcLink {
+        fn new((port, bmc_port): (ManagerPort, BmcPort), power_w: f64) -> Self {
             let ladder = ThrottleLadder::e5_2680(&PStateTable::e5_2680(), MemReconfig::full());
             let mut bmc = Bmc::new(ladder);
             bmc.control(BmcTelemetry {
@@ -706,67 +522,78 @@ mod tests {
                 inlet_temp_c: 27.0,
                 ..BmcTelemetry::default()
             });
-            while !stop.load(Ordering::Relaxed) {
-                if bmc.serve(&port).is_err() {
-                    break; // manager hung up
+            BmcLink { port, bmc_port: Some(bmc_port), bmc, patience: 1 }
+        }
+    }
+
+    impl Transact for BmcLink {
+        fn next_seq(&mut self) -> u8 {
+            self.port.next_seq()
+        }
+
+        fn transact(&mut self, req: &Request) -> Result<Response, IpmiError> {
+            let (bmc, bmc_port) = (&mut self.bmc, &self.bmc_port);
+            self.port.transact_polled(req, 4 * self.patience, || {
+                if let Some(p) = bmc_port {
+                    let _ = bmc.serve(p);
                 }
-                std::thread::yield_now();
-            }
-            bmc
-        })
+            })
+        }
+
+        fn set_patience(&mut self, factor: u32) {
+            self.patience = factor.max(1);
+        }
     }
 
     #[test]
     fn manager_reads_power_and_pushes_caps_over_ipmi() {
-        let stop = Arc::new(AtomicBool::new(false));
         let mut dcm = Dcm::new();
-        let mut handles = Vec::new();
+        let mut links = Vec::new();
         let mut ids = Vec::new();
         for (i, w) in [150.0, 130.0].into_iter().enumerate() {
-            let (mgr, bmc_port) = LanChannel::pair();
-            ids.push(dcm.register_link(format!("node{i}"), mgr));
-            handles.push(spawn_bmc(w, bmc_port, stop.clone()));
+            ids.push(dcm.register(format!("node{i}")));
+            links.push(BmcLink::new(LanChannel::pair(), w));
         }
-        let r0 = dcm.read_power(ids[0]).unwrap();
-        assert_eq!(r0.current_w, 150);
-        let caps = dcm.apply_group_budget(300.0, &AllocationPolicy::ProportionalToDemand).unwrap();
+        let mut demand = Vec::new();
+        for (&id, link) in ids.iter().zip(&mut links) {
+            demand.push((id, dcm.read_power(id, link).unwrap().current_w as f64));
+        }
+        assert_eq!(demand[0].1, 150.0);
+        let caps = dcm.plan_allocation(300.0, &AllocationPolicy::ProportionalToDemand, &demand);
+        for (&(id, cap), link) in caps.iter().zip(&mut links) {
+            dcm.cap_node(id, link, cap).unwrap();
+        }
         assert_eq!(caps.len(), 2);
         assert!(caps[0].1 > caps[1].1);
         // The cap is stored and active on the node, and remembered.
-        let limit = dcm.node_limit(ids[0]).unwrap();
+        let limit = dcm.node_limit(ids[0], &mut links[0]).unwrap();
         assert_eq!(limit.limit_w, caps[0].1.round() as u16);
         assert_eq!(dcm.last_cap_w(ids[0]), Some(caps[0].1));
         assert_eq!(dcm.health(ids[0]), NodeHealth::Healthy);
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            let bmc = h.join().unwrap();
-            assert!(bmc.cap().is_some(), "cap active after group budgeting");
+        for link in &links {
+            assert!(link.bmc.cap().is_some(), "cap active after group budgeting");
         }
     }
 
     #[test]
     fn uncap_deactivates() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let (mgr, bmc_port) = LanChannel::pair();
+        let mut link = BmcLink::new(LanChannel::pair(), 150.0);
         let mut dcm = Dcm::new();
-        let id = dcm.register_link("n", mgr);
-        let h = spawn_bmc(150.0, bmc_port, stop.clone());
-        dcm.cap_node(id, 140.0).unwrap();
-        dcm.uncap_node(id).unwrap();
+        let id = dcm.register("n");
+        dcm.cap_node(id, &mut link, 140.0).unwrap();
+        dcm.uncap_node(id, &mut link).unwrap();
         assert_eq!(dcm.last_cap_w(id), None);
-        stop.store(true, Ordering::Relaxed);
-        let bmc = h.join().unwrap();
-        assert!(bmc.cap().is_none());
+        assert!(link.bmc.cap().is_none());
     }
 
     #[test]
     fn dead_node_surfaces_channel_errors_with_identity() {
-        let (mgr, bmc_port) = LanChannel::pair();
-        drop(bmc_port);
+        let mut link = BmcLink::new(LanChannel::pair(), 150.0);
+        link.bmc_port = None; // unplug the node's NIC
         let mut dcm = Dcm::new();
-        let id = dcm.register_link("ghost", mgr);
-        let err = dcm.read_power(id).unwrap_err();
-        assert_eq!(err.node(), Some(id));
+        let id = dcm.register("ghost");
+        let err = dcm.read_power(id, &mut link).unwrap_err();
+        assert_eq!(err.node(), id);
         assert!(err.to_string().contains("ghost"));
     }
 
@@ -774,25 +601,14 @@ mod tests {
     fn repeated_failures_degrade_then_mark_unresponsive() {
         let mut dcm = Dcm::new();
         dcm.retry = RetryPolicy::once();
-        let (mut mgr, _dead) = LanChannel::faulty_pair(capsim_ipmi::FaultSpec::dead(), 1);
-        mgr.set_timeout(std::time::Duration::from_millis(1));
-        let id = dcm.register_link("flaky", mgr);
-        assert!(dcm.read_power(id).is_err());
+        let mut link = BmcLink::new(LanChannel::faulty_pair(FaultSpec::dead(), 1), 150.0);
+        let id = dcm.register("flaky");
+        assert!(dcm.read_power(id, &mut link).is_err());
         assert_eq!(dcm.health(id), NodeHealth::Degraded { consecutive_failures: 1 });
-        assert!(dcm.read_power(id).is_err());
-        assert!(dcm.read_power(id).is_err());
+        assert!(dcm.read_power(id, &mut link).is_err());
+        assert!(dcm.read_power(id, &mut link).is_err());
         assert_eq!(dcm.health(id), NodeHealth::Unresponsive);
         assert!(dcm.responsive_nodes().is_empty());
-    }
-
-    #[test]
-    fn unlinked_node_requires_a_supplied_transport() {
-        let mut dcm = Dcm::new();
-        let id = dcm.register("lockstep-node");
-        match dcm.read_power(id) {
-            Err(DcmError::Unlinked { node, .. }) => assert_eq!(node, id),
-            other => panic!("expected Unlinked, got {other:?}"),
-        }
     }
 
     #[test]
@@ -830,17 +646,15 @@ mod tests {
 
     #[test]
     fn cap_violating_nodes_are_held_degraded_until_cleared() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let (mgr, bmc_port) = LanChannel::pair();
+        let mut link = BmcLink::new(LanChannel::pair(), 150.0);
         let mut dcm = Dcm::new();
-        let id = dcm.register_link("violator", mgr);
-        let h = spawn_bmc(150.0, bmc_port, stop.clone());
+        let id = dcm.register("violator");
 
         dcm.set_cap_violating(id, true);
         assert!(dcm.cap_violating(id));
         assert_eq!(dcm.health(id), NodeHealth::Degraded { consecutive_failures: 0 });
         // A successful transaction must NOT promote the node back.
-        dcm.read_power(id).unwrap();
+        dcm.read_power(id, &mut link).unwrap();
         assert_eq!(dcm.health(id), NodeHealth::Degraded { consecutive_failures: 0 });
         // Still responsive: a violating node keeps its budget share (it
         // needs the cap pushed at it, after all), it is just not Healthy.
@@ -849,10 +663,7 @@ mod tests {
         dcm.set_cap_violating(id, false);
         assert!(!dcm.cap_violating(id));
         assert_eq!(dcm.health(id), NodeHealth::Healthy);
-        dcm.read_power(id).unwrap();
+        dcm.read_power(id, &mut link).unwrap();
         assert_eq!(dcm.health(id), NodeHealth::Healthy);
-
-        stop.store(true, Ordering::Relaxed);
-        h.join().unwrap();
     }
 }

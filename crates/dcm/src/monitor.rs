@@ -7,18 +7,18 @@
 //! the SEL to audit how often caps were violated — the data-center-side
 //! view of the paper's "measured power above the cap" rows.
 //!
-//! All wire traffic goes through the narrow [`Transact`] interface (the
-//! audit runs identically over a live threaded link or the fleet engine's
-//! pumped lock-step link), with each command retried under a
-//! [`RetryPolicy`] so a dropped frame costs a retransmit, not a hole in
-//! the audit.
+//! The monitor does no wire traffic itself: the caller polls with
+//! [`crate::Dcm::read_power`] (the fleet engine does so at every barrier)
+//! and feeds each reading to [`FleetMonitor::record`]. The SEL audit goes
+//! through the narrow [`Transact`] interface, with each command retried
+//! under a [`RetryPolicy`] so a dropped frame costs a retransmit, not a
+//! hole in the audit.
 
 use std::collections::VecDeque;
 
 use capsim_ipmi::sel::{get_sel_entry_request, get_sel_info_request, SelEntry};
 use capsim_ipmi::{transact_retry, IpmiError, RetryPolicy, SelEventType, Transact};
 
-use crate::error::DcmError;
 use crate::manager::{Dcm, NodeId};
 
 /// Bounded power history for one node.
@@ -91,48 +91,16 @@ impl FleetMonitor {
         Self::new(dcm.len(), window)
     }
 
-    /// Poll every node once over its owned link, appending to its
-    /// history. Nodes that fail transiently are skipped this round (their
-    /// history simply doesn't grow); fatal errors abort. Returns how many
-    /// nodes answered.
-    ///
-    /// Nodes registered on the manager *after* this monitor was built get
-    /// fresh histories on first poll. A manager that somehow registers
-    /// fewer nodes than the monitor tracks is a typed error
-    /// ([`DcmError::MonitorShrunk`]) — indices would silently misattribute.
-    pub fn poll(&mut self, dcm: &mut Dcm) -> Result<usize, DcmError> {
-        if dcm.len() < self.histories.len() {
-            return Err(DcmError::MonitorShrunk {
-                monitored: self.histories.len(),
-                registered: dcm.len(),
-            });
-        }
-        while self.histories.len() < dcm.len() {
-            self.histories.push(PowerHistory::new(self.window));
-        }
-        let mut answered = 0;
-        for node in dcm.node_ids() {
-            match dcm.read_power(node) {
-                Ok(r) => {
-                    self.histories[node.index()].push(r.current_w as f64);
-                    answered += 1;
-                }
-                Err(e) if e.is_transient() => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(answered)
-    }
-
-    /// Number of nodes this monitor currently tracks.
-    pub fn tracked(&self) -> usize {
-        self.histories.len()
-    }
-
     /// Record a reading obtained elsewhere (the fleet engine polls nodes
-    /// itself at each barrier and feeds the monitor).
+    /// itself at each barrier and feeds the monitor). A node registered
+    /// after the monitor was built gets a fresh history on its first
+    /// reading.
     pub fn record(&mut self, node: NodeId, watts: f64) {
-        self.histories[node.index()].push(watts);
+        let i = node.index();
+        if i >= self.histories.len() {
+            self.histories.resize_with(i + 1, || PowerHistory::new(self.window));
+        }
+        self.histories[i].push(watts);
     }
 
     pub fn history(&self, node: NodeId) -> &PowerHistory {
@@ -153,10 +121,7 @@ impl FleetMonitor {
 /// Read a node's full SEL through any [`Transact`] link, retrying each
 /// command under `retry` (a dropped or corrupted frame costs a
 /// retransmit, not an audit hole).
-pub fn read_sel_via(
-    link: &mut dyn Transact,
-    retry: &RetryPolicy,
-) -> Result<Vec<SelEntry>, IpmiError> {
+pub fn read_sel(link: &mut dyn Transact, retry: &RetryPolicy) -> Result<Vec<SelEntry>, IpmiError> {
     let info = transact_retry(link, retry, &|seq| get_sel_info_request(seq))?.into_ok()?;
     if info.len() != 2 {
         return Err(IpmiError::Malformed("sel info"));
@@ -205,12 +170,6 @@ pub fn read_sel_via(
     Ok(out)
 }
 
-/// Read a node's full SEL over its owned link, updating node health.
-pub fn read_sel(dcm: &mut Dcm, node: NodeId) -> Result<Vec<SelEntry>, DcmError> {
-    let retry = dcm.retry;
-    dcm.with_link(node, |link| read_sel_via(link, &retry))
-}
-
 /// Count cap violations recorded in a SEL slice.
 pub fn violation_count(entries: &[SelEntry]) -> usize {
     entries.iter().filter(|e| e.event == SelEventType::PowerLimitExceeded).count()
@@ -256,32 +215,20 @@ mod tests {
     }
 
     #[test]
-    fn poll_adopts_nodes_registered_after_the_monitor_was_built() {
+    fn record_adopts_nodes_registered_after_the_monitor_was_built() {
         let mut dcm = Dcm::new();
-        dcm.register("n0");
+        let n0 = dcm.register("n0");
         let mut m = FleetMonitor::for_dcm(&dcm, 4);
-        assert_eq!(m.tracked(), 1);
-        dcm.register("n1");
-        dcm.register("n2");
-        // The late registrations get fresh histories instead of the old
-        // assert_eq! panic. The poll itself then fails on the first node
-        // (nothing here owns a link), which is a typed, non-panicking
-        // error — the resize has already happened.
-        let err = m.poll(&mut dcm).expect_err("unlinked nodes cannot answer");
-        assert!(matches!(err, DcmError::Unlinked { .. }), "{err}");
-        assert_eq!(m.tracked(), 3);
-    }
-
-    #[test]
-    fn poll_refuses_a_shrunken_manager_with_a_typed_error() {
-        let mut dcm = Dcm::new();
-        dcm.register("n0");
-        dcm.register("n1");
-        let mut m = FleetMonitor::new(5, 4);
-        let err = m.poll(&mut dcm).expect_err("shrink must be rejected");
-        assert_eq!(err, DcmError::MonitorShrunk { monitored: 5, registered: 2 });
-        assert_eq!(err.node(), None);
-        assert!(!err.is_transient());
+        let n1 = dcm.register("n1");
+        let n2 = dcm.register("n2");
+        // Late registrations get fresh histories, whatever order their
+        // readings arrive in.
+        m.record(n2, 150.0);
+        m.record(n0, 120.0);
+        m.record(n1, 130.0);
+        assert_eq!(m.history(n2).mean(), Some(150.0));
+        assert_eq!(m.history(n1).len(), 1);
+        assert_eq!(m.hotspots(140.0), vec![n2]);
     }
 
     /// Minimal in-memory SEL server mirroring the BMC's GET_SEL_INFO /
@@ -328,7 +275,7 @@ mod tests {
         }
         let expect: Vec<SelEntry> = sel.iter().cloned().collect();
         let mut link = SelServer { sel, seq: 0 };
-        let got = read_sel_via(&mut link, &RetryPolicy::default()).unwrap();
+        let got = read_sel(&mut link, &RetryPolicy::default()).unwrap();
         assert_eq!(got, expect);
     }
 
@@ -351,7 +298,7 @@ mod tests {
             "retained ids should straddle the wrap for this test to bite"
         );
         let mut link = SelServer { sel, seq: 0 };
-        let got = read_sel_via(&mut link, &RetryPolicy::default()).unwrap();
+        let got = read_sel(&mut link, &RetryPolicy::default()).unwrap();
         assert_eq!(got.len(), expect.len(), "audit must cover the full ring across the wrap");
         assert_eq!(got, expect);
     }

@@ -17,7 +17,7 @@
 
 use capsim_policy::{splitmix64, QTable, RlCapPolicy, RlConfig};
 
-use crate::fleet::{FleetBuilder, FleetReport, LoadKind};
+use crate::fleet::{FleetBuilder, FleetReport, LoadKind, WorkloadSpec};
 
 /// Everything a training run depends on. Two equal configs train
 /// byte-identical tables.
@@ -132,7 +132,7 @@ pub fn train_rl(cfg: &RlTrainConfig) -> RlTrainReport {
             .seed(splitmix64(cfg.seed, 0x5eed_0000 + u64::from(e)))
             .cap_policy(Box::new(RlCapPolicy::learner(q.clone(), cfg.rl)));
         if let Some(kind) = cfg.load {
-            b = b.uniform_load(kind);
+            b = b.workload(WorkloadSpec::Uniform(kind));
         }
         let mut fleet = b.build();
         for _ in 0..cfg.epochs {

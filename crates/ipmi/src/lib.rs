@@ -17,7 +17,8 @@
 //!   *Get/Set Power Limit*, *Activate/Deactivate Power Limit* ([`dcmi`]),
 //! * basic sensor reads (inlet temperature, node power) ([`sensor`]),
 //! * and an in-memory "dedicated NIC" transport over crossbeam channels
-//!   ([`transport`]) so managers and BMCs can live on different threads.
+//!   ([`transport`]), whose one wait loop counts BMC polls rather than
+//!   host time.
 //!
 //! The simulated OS and workloads never see any of this — capping really
 //! is out-of-band, exactly as on the paper's platform.
@@ -38,7 +39,6 @@ pub use message::{CompletionCode, IpmiError, NetFn, Request, Response};
 pub use sel::{SelEntry, SelEventType, SystemEventLog, SEL_CAPACITY};
 pub use sensor::{SensorId, SensorRead, SensorValue};
 pub use transport::{
-    splitmix64, transact_retry, transact_retry_counted, transact_retry_observed, BmcPort,
-    FaultDirection, FaultInjector, FaultSpec, FaultStats, LanChannel, ManagerPort, RetryPolicy,
-    Transact, WireOutcome,
+    splitmix64, transact_retry, transact_retry_counted, BmcPort, FaultDirection, FaultInjector,
+    FaultSpec, FaultStats, LanChannel, ManagerPort, RetryPolicy, Transact, WireOutcome,
 };

@@ -19,12 +19,16 @@
 //! earlier, timed-out requests are rejected rather than mistaken for the
 //! answer). [`transact_retry`] layers bounded retry-with-backoff on top,
 //! re-issuing with a fresh sequence number on transient failures.
+//!
+//! There is one wait discipline: [`ManagerPort::transact_polled`] counts
+//! its wait in delivery polls, and the caller's callback gives the BMC its
+//! turn before each poll. No wait depends on host time, so a transaction's
+//! outcome is a function of the fault seed and the call sequence alone.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
 
 use crate::message::{CompletionCode, IpmiError, Request, Response};
 
@@ -264,9 +268,10 @@ impl FaultInjector {
 /// One request/response exchange with a managed node: send `req`, return
 /// the response whose sequence number, NetFn and command all match.
 ///
-/// Implementations differ in how the peer gets CPU time: a plain
-/// [`ManagerPort`] waits for a BMC serviced on another thread, while a
-/// lock-step engine pumps the node's BMC between delivery polls.
+/// Implementations wrap a [`ManagerPort`] and decide only how the BMC
+/// gets its turn: they wait through [`ManagerPort::transact_polled`],
+/// handing it a callback that serves the BMC before each delivery poll
+/// (the fleet's `PumpedLink` services the node's machine).
 pub trait Transact {
     /// Allocate the next request sequence number (wrapping).
     fn next_seq(&mut self) -> u8;
@@ -379,42 +384,6 @@ pub fn transact_retry_counted(
     (Err(last), attempts)
 }
 
-/// [`transact_retry`] with the transaction's retry/timeout story recorded
-/// into an observability sink: `ipmi.transactions` / `ipmi.attempts` /
-/// `ipmi.retries` / `ipmi.timeouts` counters, plus a `Retry` event when a
-/// command needed more than one attempt and a `Timeout` event when the
-/// budget ran out. `t_s` is the caller's simulated time (the transport has
-/// no clock of its own). A disabled `obs` reduces this to plain
-/// [`transact_retry`] plus one branch.
-pub fn transact_retry_observed(
-    link: &mut dyn Transact,
-    retry: &RetryPolicy,
-    build: &dyn Fn(u8) -> Request,
-    obs: &mut capsim_obs::Obs,
-    t_s: f64,
-    node: Option<u32>,
-) -> Result<Response, IpmiError> {
-    let (result, attempts) = transact_retry_counted(link, retry, build);
-    if obs.is_enabled() {
-        obs.metrics.inc("ipmi.transactions");
-        obs.metrics.add("ipmi.attempts", attempts as u64);
-        if attempts > 1 {
-            obs.metrics.add("ipmi.retries", (attempts - 1) as u64);
-        }
-        match &result {
-            Ok(_) if attempts > 1 => {
-                obs.events.record_for(t_s, node, capsim_obs::EventKind::Retry { attempts });
-            }
-            Err(e) if e.is_transient() => {
-                obs.metrics.inc("ipmi.timeouts");
-                obs.events.record_for(t_s, node, capsim_obs::EventKind::Timeout { attempts });
-            }
-            _ => {}
-        }
-    }
-    result
-}
-
 /// Constructor namespace for the channel pair.
 pub struct LanChannel;
 
@@ -441,14 +410,7 @@ impl LanChannel {
         let (req_tx, req_rx) = unbounded::<Bytes>();
         let (resp_tx, resp_rx) = unbounded::<Bytes>();
         (
-            ManagerPort {
-                tx: req_tx,
-                rx: resp_rx,
-                next_seq: 0,
-                timeout: Duration::from_secs(2),
-                patience: 1,
-                faults,
-            },
+            ManagerPort { tx: req_tx, rx: resp_rx, next_seq: 0, faults },
             BmcPort { rx: req_rx, tx: resp_tx },
         )
     }
@@ -467,9 +429,6 @@ pub struct ManagerPort {
     tx: Sender<Bytes>,
     rx: Receiver<Bytes>,
     next_seq: u8,
-    /// Base wait for a blocking transaction (scaled by `patience`).
-    timeout: Duration,
-    patience: u32,
     faults: Option<LinkFaults>,
 }
 
@@ -479,11 +438,6 @@ impl ManagerPort {
         let s = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         s
-    }
-
-    /// Base blocking-transaction timeout (scaled by retry patience).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
     }
 
     /// Fault statistics for a faulty link (`None` on a clean pair).
@@ -550,71 +504,30 @@ impl ManagerPort {
         }
     }
 
-    /// Blocking receive of the next response frame, bounded by the link
-    /// timeout.
-    pub fn recv(&mut self) -> Result<Response, IpmiError> {
-        let deadline = Instant::now() + self.budget();
-        self.recv_until(deadline)
-    }
-
-    fn budget(&self) -> Duration {
-        self.timeout * self.patience.max(1)
-    }
-
-    fn recv_until(&mut self, deadline: Instant) -> Result<Response, IpmiError> {
-        loop {
-            match self.try_recv()? {
-                Some(resp) => return Ok(resp),
-                None => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(IpmiError::TimedOut);
-                    }
-                    // Wait on the wire in short slices so delayed frames
-                    // inside the fault layer keep aging.
-                    let slice = (deadline - now).min(Duration::from_millis(1));
-                    match self.rx.recv_timeout(slice) {
-                        Ok(bytes) => match &mut self.faults {
-                            None => return Response::decode(&bytes),
-                            Some(lf) => lf.resp.admit(bytes),
-                        },
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            let idle = self.faults.as_ref().is_none_or(|lf| lf.resp.is_idle());
-                            if idle {
-                                return Err(IpmiError::ChannelClosed);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Transact for ManagerPort {
-    fn next_seq(&mut self) -> u8 {
-        ManagerPort::next_seq(self)
-    }
-
-    /// Send `req` and wait for the matching response. Sequence number,
-    /// NetFn and command must all match — a delayed response to an
-    /// earlier request (even one whose 8-bit sequence number has wrapped
-    /// around to the same value but belongs to a different command) is
-    /// discarded, not returned.
-    fn transact(&mut self, req: &Request) -> Result<Response, IpmiError> {
+    /// Send `req` and wait up to `polls` delivery polls for its response.
+    /// Each poll first calls `serve`, which gives the BMC its turn, then
+    /// makes one [`ManagerPort::try_recv`]. Sequence number, NetFn and
+    /// command must all match: a delayed response to an earlier request
+    /// (even one whose 8-bit sequence number has wrapped around to the
+    /// same value but belongs to a different command) is discarded, not
+    /// returned. [`IpmiError::TimedOut`] when the budget runs out.
+    pub fn transact_polled(
+        &mut self,
+        req: &Request,
+        polls: u32,
+        mut serve: impl FnMut(),
+    ) -> Result<Response, IpmiError> {
         self.send(req)?;
-        let deadline = Instant::now() + self.budget();
-        loop {
-            let resp = self.recv_until(deadline)?;
-            if resp.seq == req.seq && resp.cmd == req.cmd && resp.netfn == req.netfn {
-                return Ok(resp);
+        for _ in 0..polls {
+            serve();
+            if let Some(resp) = self.try_recv()? {
+                if resp.seq == req.seq && resp.cmd == req.cmd && resp.netfn == req.netfn {
+                    return Ok(resp);
+                }
+                // Otherwise a stale response to an earlier attempt.
             }
         }
-    }
-
-    fn set_patience(&mut self, factor: u32) {
-        self.patience = factor.max(1);
+        Err(IpmiError::TimedOut)
     }
 }
 
@@ -637,12 +550,6 @@ impl BmcPort {
         }
     }
 
-    /// Blocking receive (used by threaded BMC loops).
-    pub fn recv(&self) -> Result<Request, IpmiError> {
-        let bytes = self.rx.recv().map_err(|_| IpmiError::ChannelClosed)?;
-        Request::decode(&bytes)
-    }
-
     /// Send a response frame.
     pub fn send(&self, resp: &Response) -> Result<(), IpmiError> {
         self.tx.send(resp.encode()).map_err(|_| IpmiError::ChannelClosed)
@@ -653,6 +560,65 @@ impl BmcPort {
 mod tests {
     use super::*;
     use crate::message::{CompletionCode, NetFn};
+    use std::cell::Cell;
+
+    /// Echo every pending request as an OK response: the BMC's turn in a
+    /// delivery poll.
+    fn echo_pending(bmc: &BmcPort) {
+        loop {
+            match bmc.poll() {
+                Ok(Some(req)) => bmc.send(&Response::ok(&req, vec![req.cmd])).unwrap(),
+                Ok(None) => break,
+                Err(IpmiError::ChannelClosed) => break,
+                Err(_) => continue, // corrupted request: discard
+            }
+        }
+    }
+
+    /// A scripted BMC: each pending request is answered with the frames
+    /// `script` returns for it, in order.
+    fn scripted<'a>(
+        bmc: &'a BmcPort,
+        script: impl Fn(&Request) -> Vec<Response> + 'a,
+    ) -> impl FnMut() + 'a {
+        move || {
+            while let Some(req) = bmc.poll().unwrap() {
+                for resp in script(&req) {
+                    bmc.send(&resp).unwrap();
+                }
+            }
+        }
+    }
+
+    /// A [`Transact`] link on the one wait discipline: each attempt spends
+    /// `polls × patience` delivery polls and runs `serve` before each one,
+    /// like the fleet's `PumpedLink` with a closure in place of a machine.
+    struct PolledLink<F: FnMut()> {
+        port: ManagerPort,
+        polls: u32,
+        patience: u32,
+        serve: F,
+    }
+
+    impl<F: FnMut()> PolledLink<F> {
+        fn new(port: ManagerPort, polls: u32, serve: F) -> Self {
+            PolledLink { port, polls, patience: 1, serve }
+        }
+    }
+
+    impl<F: FnMut()> Transact for PolledLink<F> {
+        fn next_seq(&mut self) -> u8 {
+            self.port.next_seq()
+        }
+
+        fn transact(&mut self, req: &Request) -> Result<Response, IpmiError> {
+            self.port.transact_polled(req, self.polls * self.patience, &mut self.serve)
+        }
+
+        fn set_patience(&mut self, factor: u32) {
+            self.patience = factor.max(1);
+        }
+    }
 
     #[test]
     fn request_crosses_the_wire_intact() {
@@ -669,17 +635,13 @@ mod tests {
         let (mut mgr, bmc) = LanChannel::pair();
         let seq = mgr.next_seq();
         let req = Request::new(NetFn::App, 0x01, seq, Bytes::new());
-        // Service on another thread.
-        let t = std::thread::spawn(move || {
-            let r = bmc.recv().unwrap();
-            // A stale response for a different seq first…
-            let mut stale = Response::ok(&r, Bytes::new());
+        // A stale response for a different seq first…
+        let bmc = scripted(&bmc, |r| {
+            let mut stale = Response::ok(r, Bytes::new());
             stale.seq = r.seq.wrapping_add(100);
-            bmc.send(&stale).unwrap();
-            bmc.send(&Response::ok(&r, vec![0x99])).unwrap();
+            vec![stale, Response::ok(r, vec![0x99])]
         });
-        let resp = mgr.transact(&req).unwrap();
-        t.join().unwrap();
+        let resp = mgr.transact_polled(&req, 4, bmc).unwrap();
         assert_eq!(resp.seq, seq);
         assert_eq!(&resp.payload[..], &[0x99]);
     }
@@ -692,8 +654,7 @@ mod tests {
         let (mut mgr, bmc) = LanChannel::pair();
         let seq = mgr.next_seq();
         let req = Request::new(NetFn::GroupExt, 0x02, seq, Bytes::new());
-        let t = std::thread::spawn(move || {
-            let r = bmc.recv().unwrap();
+        let bmc = scripted(&bmc, |r| {
             // Stale answer from a previous epoch: same seq, other command.
             let stale = Response {
                 netfn: NetFn::App,
@@ -702,22 +663,21 @@ mod tests {
                 completion: CompletionCode::Ok,
                 payload: Bytes::from(vec![0xde, 0xad]),
             };
-            bmc.send(&stale).unwrap();
-            bmc.send(&Response::ok(&r, vec![0x01])).unwrap();
+            vec![stale, Response::ok(r, vec![0x01])]
         });
-        let resp = mgr.transact(&req).unwrap();
-        t.join().unwrap();
+        let resp = mgr.transact_polled(&req, 4, bmc).unwrap();
         assert_eq!(resp.cmd, 0x02);
         assert_eq!(&resp.payload[..], &[0x01]);
     }
 
     #[test]
     fn transact_times_out_instead_of_hanging() {
+        // Nobody answers: the wait ends when the poll budget does.
         let (mut mgr, _bmc) = LanChannel::pair();
-        mgr.set_timeout(Duration::from_millis(5));
-        let seq = mgr.next_seq();
-        let req = Request::new(NetFn::App, 0x01, seq, Bytes::new());
-        assert_eq!(mgr.transact(&req), Err(IpmiError::TimedOut));
+        let req = Request::new(NetFn::App, 0x01, mgr.next_seq(), Bytes::new());
+        let mut polls = 0;
+        assert_eq!(mgr.transact_polled(&req, 5, || polls += 1), Err(IpmiError::TimedOut));
+        assert_eq!(polls, 5);
     }
 
     #[test]
@@ -726,6 +686,7 @@ mod tests {
         drop(bmc);
         let req = Request::new(NetFn::App, 0x01, 0, Bytes::new());
         assert_eq!(mgr.send(&req), Err(IpmiError::ChannelClosed));
+        assert_eq!(mgr.transact_polled(&req, 4, || {}), Err(IpmiError::ChannelClosed));
     }
 
     #[test]
@@ -740,10 +701,8 @@ mod tests {
     fn error_completion_propagates() {
         let (mut mgr, bmc) = LanChannel::pair();
         let req = Request::new(NetFn::App, 0x42, mgr.next_seq(), Bytes::new());
-        mgr.send(&req).unwrap();
-        let r = bmc.recv().unwrap();
-        bmc.send(&Response::err(&r, CompletionCode::InvalidCommand)).unwrap();
-        let resp = mgr.recv().unwrap();
+        let bmc = scripted(&bmc, |r| vec![Response::err(r, CompletionCode::InvalidCommand)]);
+        let resp = mgr.transact_polled(&req, 4, bmc).unwrap();
         assert_eq!(
             resp.into_ok().unwrap_err(),
             IpmiError::Completion(CompletionCode::InvalidCommand)
@@ -751,18 +710,6 @@ mod tests {
     }
 
     // ------------------------------------------------------ fault layer
-
-    /// Echo every request as an OK response on the current thread.
-    fn echo_pending(bmc: &BmcPort) {
-        loop {
-            match bmc.poll() {
-                Ok(Some(req)) => bmc.send(&Response::ok(&req, vec![req.cmd])).unwrap(),
-                Ok(None) => break,
-                Err(IpmiError::ChannelClosed) => break,
-                Err(_) => continue, // corrupted request: discard
-            }
-        }
-    }
 
     #[test]
     fn fault_schedule_is_deterministic_for_a_seed() {
@@ -780,15 +727,39 @@ mod tests {
 
     #[test]
     fn dead_link_drops_everything() {
-        let (mut mgr, bmc) = LanChannel::faulty_pair(FaultSpec::dead(), 7);
-        mgr.set_timeout(Duration::from_millis(2));
-        let req = Request::new(NetFn::App, 0x01, mgr.next_seq(), Bytes::new());
-        mgr.send(&req).unwrap();
+        let (mgr, bmc) = LanChannel::faulty_pair(FaultSpec::dead(), 7);
+        let served = Cell::new(0u32);
+        let mut link = PolledLink::new(mgr, 3, || {
+            served.set(served.get() + 1);
+            echo_pending(&bmc);
+        });
+        link.set_patience(4);
+        let req = Request::new(NetFn::App, 0x01, link.next_seq(), Bytes::new());
+        assert_eq!(link.transact(&req), Err(IpmiError::TimedOut));
+        assert_eq!(served.get(), 3 * 4, "one serve per poll, polls × patience polls");
         assert!(bmc.poll().unwrap().is_none(), "frame never reached the BMC");
-        assert_eq!(Transact::transact(&mut mgr, &req), Err(IpmiError::TimedOut));
-        let (req_stats, _) = mgr.fault_stats().unwrap();
-        assert!(req_stats.dropped >= 2);
+        let (req_stats, _) = link.port.fault_stats().unwrap();
+        assert_eq!(req_stats.dropped, 1);
         assert_eq!(req_stats.delivered, 0);
+    }
+
+    #[test]
+    fn retry_spends_polls_times_the_patience_schedule() {
+        // Four attempts at patience 1, 2, 4 and 4 (2^3 capped by
+        // max_patience) against a dead link.
+        let (mgr, bmc) = LanChannel::faulty_pair(FaultSpec::dead(), 8);
+        let served = Cell::new(0u32);
+        let mut link = PolledLink::new(mgr, 3, || {
+            served.set(served.get() + 1);
+            echo_pending(&bmc);
+        });
+        let retry = RetryPolicy { attempts: 4, max_patience: 4 };
+        let (result, attempts) = transact_retry_counted(&mut link, &retry, &|seq| {
+            Request::new(NetFn::App, 0x01, seq, Bytes::new())
+        });
+        assert_eq!(result, Err(IpmiError::TimedOut));
+        assert_eq!(attempts, 4);
+        assert_eq!(served.get(), 3 * (1 + 2 + 4 + 4));
     }
 
     #[test]
@@ -797,13 +768,11 @@ mod tests {
         // hand back a frame that decoded into garbage.
         let spec = FaultSpec { corrupt_prob: 1.0, ..FaultSpec::none() };
         let (mut mgr, bmc) = LanChannel::faulty_pair(spec, 11);
-        mgr.set_timeout(Duration::from_millis(20));
         let req = Request::new(NetFn::App, 0x01, mgr.next_seq(), Bytes::new());
         // Answer directly (the request direction corrupts too, so the
         // echo helper would never see a parseable request).
         bmc.send(&Response::ok(&req, vec![0x07])).unwrap();
-        let got = mgr.recv();
-        assert_eq!(got, Err(IpmiError::Corrupt));
+        assert_eq!(mgr.transact_polled(&req, 4, || {}), Err(IpmiError::Corrupt));
     }
 
     #[test]
@@ -811,9 +780,7 @@ mod tests {
         let spec = FaultSpec { busy_prob: 1.0, ..FaultSpec::none() };
         let (mut mgr, bmc) = LanChannel::faulty_pair(spec, 3);
         let req = Request::new(NetFn::App, 0x01, mgr.next_seq(), Bytes::new());
-        mgr.send(&req).unwrap();
-        echo_pending(&bmc);
-        let resp = mgr.recv().unwrap();
+        let resp = mgr.transact_polled(&req, 4, || echo_pending(&bmc)).unwrap();
         assert_eq!(resp.completion, CompletionCode::NodeBusy);
         assert_eq!(resp.seq, req.seq);
     }
@@ -828,19 +795,14 @@ mod tests {
         };
         let (mut mgr, bmc) = LanChannel::faulty_pair(spec, 5);
         let req = Request::new(NetFn::App, 0x01, mgr.next_seq(), Bytes::new());
-        mgr.send(&req).unwrap();
-        // The request is stuck in the delay queue; pump it through by
-        // polling, then let the BMC answer (response is delayed too).
-        let mut answered = false;
-        for _ in 0..16 {
-            echo_pending(&bmc);
-            if let Some(resp) = mgr.try_recv().unwrap() {
-                assert_eq!(resp.seq, req.seq);
-                answered = true;
-                break;
-            }
-        }
-        assert!(answered, "delayed frames eventually delivered");
+        // The request is stuck in the delay queue; polling ages it onto
+        // the wire, the BMC answers, and the response is delayed too.
+        let resp = mgr
+            .transact_polled(&req, 16, || echo_pending(&bmc))
+            .expect("delayed frames eventually delivered");
+        assert_eq!(resp.seq, req.seq);
+        let (req_stats, resp_stats) = mgr.fault_stats().unwrap();
+        assert_eq!((req_stats.delayed, resp_stats.delayed), (1, 1));
     }
 
     #[test]
@@ -859,35 +821,27 @@ mod tests {
 
     #[test]
     fn retry_converges_on_a_lossy_link() {
-        // Drops and busy completions with a forced-clean bound: retry
-        // must converge within the bound regardless of thread timing.
-        // (Delay/corrupt schedules interact with wall-clock timeouts and
-        // are covered deterministically by the lock-step fleet tests.)
+        // Every fault path on, with a forced-clean bound: retry must
+        // converge within the bound. Waits are counted in polls, so
+        // delayed and corrupted frames replay identically on every run.
         let spec = FaultSpec {
             drop_prob: 0.4,
+            corrupt_prob: 0.2,
             busy_prob: 0.3,
+            delay_prob: 0.3,
+            max_delay: 3,
             max_consecutive_faults: 3,
-            ..FaultSpec::none()
         };
-        let (mut mgr, bmc) = LanChannel::faulty_pair(spec, 21);
-        mgr.set_timeout(Duration::from_millis(10));
-        // Service the BMC from a thread for the duration of the retry.
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let t = std::thread::spawn(move || {
-            while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                echo_pending(&bmc);
-                std::thread::yield_now();
-            }
-        });
-        let retry = RetryPolicy { attempts: 16, max_patience: 16 };
-        let resp = transact_retry(&mut mgr, &retry, &|seq| {
-            Request::new(NetFn::App, 0x42, seq, Bytes::new())
-        });
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        t.join().unwrap();
-        let resp = resp.expect("bounded faults, so retry must converge");
-        assert_eq!(resp.cmd, 0x42);
-        assert_eq!(resp.completion, CompletionCode::Ok);
+        for seed in 0..16 {
+            let (mgr, bmc) = LanChannel::faulty_pair(spec, seed);
+            let mut link = PolledLink::new(mgr, 8, || echo_pending(&bmc));
+            let retry = RetryPolicy { attempts: 24, max_patience: 16 };
+            let resp = transact_retry(&mut link, &retry, &|seq| {
+                Request::new(NetFn::App, 0x42, seq, Bytes::new())
+            });
+            let resp = resp.expect("bounded faults, so retry must converge");
+            assert_eq!(resp.cmd, 0x42);
+            assert_eq!(resp.completion, CompletionCode::Ok);
+        }
     }
 }

@@ -911,13 +911,13 @@ mod tests {
         let seq = mgr.next_seq();
         mgr.send(&SetPowerLimit(limit).request(seq)).unwrap();
         b.serve(&port).unwrap();
-        mgr.recv().unwrap().into_ok().unwrap();
+        mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         // Limit stored but capping starts at activation.
         assert!(b.cap().is_none());
         let seq = mgr.next_seq();
         mgr.send(&ActivatePowerLimit { activate: true }.request(seq)).unwrap();
         b.serve(&port).unwrap();
-        mgr.recv().unwrap().into_ok().unwrap();
+        mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         assert_eq!(b.cap().unwrap().watts, 135.0);
     }
 
@@ -929,7 +929,7 @@ mod tests {
         let seq = mgr.next_seq();
         mgr.send(&GetPowerReading::request(seq)).unwrap();
         b.serve(&port).unwrap();
-        let payload = mgr.recv().unwrap().into_ok().unwrap();
+        let payload = mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         let r = PowerReading::decode(&payload).unwrap();
         assert_eq!(r.current_w, 153);
         assert!(r.active);
@@ -942,7 +942,7 @@ mod tests {
         let seq = mgr.next_seq();
         mgr.send(&ActivatePowerLimit { activate: true }.request(seq)).unwrap();
         b.serve(&port).unwrap();
-        assert!(mgr.recv().unwrap().into_ok().is_err());
+        assert!(mgr.try_recv().unwrap().unwrap().into_ok().is_err());
     }
 
     #[test]
@@ -952,7 +952,7 @@ mod tests {
         let seq = mgr.next_seq();
         mgr.send(&Request::new(NetFn::App, 0x77, seq, Vec::new())).unwrap();
         b.serve(&port).unwrap();
-        let resp = mgr.recv().unwrap();
+        let resp = mgr.try_recv().unwrap().unwrap();
         assert_eq!(resp.completion, CompletionCode::InvalidCommand);
     }
 
@@ -969,11 +969,11 @@ mod tests {
         let seq = mgr.next_seq();
         mgr.send(&SetPowerLimit(limit).request(seq)).unwrap();
         b.serve(&port).unwrap();
-        mgr.recv().unwrap().into_ok().unwrap();
+        mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         let seq = mgr.next_seq();
         mgr.send(&ActivatePowerLimit { activate: true }.request(seq)).unwrap();
         b.serve(&port).unwrap();
-        mgr.recv().unwrap().into_ok().unwrap();
+        mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         // Sustained 124 W against a 120 W cap: one exceeded entry per
         // 50 ms correction interval, plus the configured + floor entries.
         for t in 0..400u64 {
@@ -1049,31 +1049,36 @@ mod tests {
         let seq = mgr.next_seq();
         mgr.send(&get_device_id_request(seq)).unwrap();
         b.serve(&port).unwrap();
-        let id = capsim_ipmi::DeviceId::decode(&mgr.recv().unwrap().into_ok().unwrap()).unwrap();
+        let id =
+            capsim_ipmi::DeviceId::decode(&mgr.try_recv().unwrap().unwrap().into_ok().unwrap())
+                .unwrap();
         assert_eq!(id.manufacturer, 343);
         // Capabilities.
         let seq = mgr.next_seq();
         mgr.send(&get_capabilities_request(seq)).unwrap();
         b.serve(&port).unwrap();
-        let caps =
-            capsim_ipmi::DcmiCapabilities::decode(&mgr.recv().unwrap().into_ok().unwrap()).unwrap();
+        let caps = capsim_ipmi::DcmiCapabilities::decode(
+            &mgr.try_recv().unwrap().unwrap().into_ok().unwrap(),
+        )
+        .unwrap();
         assert!(caps.power_management);
         // Log something, read it back, clear it.
         b.sel.log(5, capsim_ipmi::SelEventType::PowerLimitExceeded, 124);
         let seq = mgr.next_seq();
         mgr.send(&get_sel_info_request(seq)).unwrap();
         b.serve(&port).unwrap();
-        let info = mgr.recv().unwrap().into_ok().unwrap();
+        let info = mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         assert_eq!(u16::from_le_bytes([info[0], info[1]]), 1);
         let seq = mgr.next_seq();
         mgr.send(&get_sel_entry_request(seq, 0xffff)).unwrap();
         b.serve(&port).unwrap();
-        let e = capsim_ipmi::SelEntry::decode(&mgr.recv().unwrap().into_ok().unwrap()).unwrap();
+        let e = capsim_ipmi::SelEntry::decode(&mgr.try_recv().unwrap().unwrap().into_ok().unwrap())
+            .unwrap();
         assert_eq!(e.datum, 124);
         let seq = mgr.next_seq();
         mgr.send(&clear_sel_request(seq)).unwrap();
         b.serve(&port).unwrap();
-        mgr.recv().unwrap().into_ok().unwrap();
+        mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         assert!(b.sel().is_empty());
     }
 
@@ -1227,22 +1232,22 @@ mod tests {
         mgr.send(&SetPowerLimit(limit).request(seq)).unwrap();
         b.serve(&port).unwrap();
         // The manager sees success…
-        mgr.recv().unwrap().into_ok().unwrap();
+        mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         let seq = mgr.next_seq();
         mgr.send(&ActivatePowerLimit { activate: true }.request(seq)).unwrap();
         b.serve(&port).unwrap();
-        mgr.recv().unwrap().into_ok().unwrap();
+        mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         // …but nothing was committed.
         assert!(b.cap().is_none());
         b.set_lost_cap_commands(false);
         let seq = mgr.next_seq();
         mgr.send(&SetPowerLimit(limit).request(seq)).unwrap();
         b.serve(&port).unwrap();
-        mgr.recv().unwrap().into_ok().unwrap();
+        mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         let seq = mgr.next_seq();
         mgr.send(&ActivatePowerLimit { activate: true }.request(seq)).unwrap();
         b.serve(&port).unwrap();
-        mgr.recv().unwrap().into_ok().unwrap();
+        mgr.try_recv().unwrap().unwrap().into_ok().unwrap();
         assert_eq!(b.cap().unwrap().watts, 135.0);
     }
 
@@ -1254,7 +1259,7 @@ mod tests {
         let seq = mgr.next_seq();
         mgr.send(&SensorRead { sensor: SensorId::DieTempC }.request(seq)).unwrap();
         b.serve(&port).unwrap();
-        let v = SensorValue::decode(&mgr.recv().unwrap().into_ok().unwrap()).unwrap();
+        let v = SensorValue::decode(&mgr.try_recv().unwrap().unwrap().into_ok().unwrap()).unwrap();
         assert_eq!(v.value(), 61.25);
     }
 }

@@ -399,9 +399,11 @@ impl Machine {
     }
 
     /// Service pending out-of-band requests once, outside the control
-    /// loop. Normally the BMC serves during control ticks; after a run
-    /// finishes (no more ticks) a management thread can keep the node
-    /// answerable with this.
+    /// loop. A manager's wait calls this before each delivery poll (the
+    /// fleet's `PumpedLink`), so a request is answered within the
+    /// transaction that sent it — mid-run, between epochs or after the run.
+    /// The control tick serves the port too: a request frame a faulty link
+    /// releases after its transaction gave up is answered at the next tick.
     pub fn service_bmc(&mut self) {
         if let Some(port) = &self.bmc_port {
             let _ = self.bmc.serve(port);

@@ -1,11 +1,13 @@
 //! The product context of §II: Intel DCM managing a rack of nodes
 //! out-of-band.
 //!
-//! Three simulated nodes run different workloads on their own threads;
-//! the Data Center Manager talks to each BMC over the IPMI channel (DCMI
-//! *Get Power Reading* / *Set Power Limit* / *Activate*), reads demand,
-//! and divides a group budget proportionally. The OS/workload side never
-//! sees any of it — capping is enforced by each node's BMC.
+//! Three simulated nodes run different workloads. Halfway through, the
+//! Data Center Manager talks to each BMC over the IPMI channel (DCMI *Get
+//! Power Reading* / *Set Power Limit* / *Activate*), reads demand, divides
+//! a group budget proportionally and pushes the caps; the nodes then run
+//! their second halves under them. The OS/workload side never sees any of
+//! it — capping is enforced by each node's BMC. Every manager wait is
+//! counted in BMC polls, so two runs print the same output.
 //!
 //! ```sh
 //! cargo run --example datacenter --release
@@ -13,61 +15,79 @@
 
 use capsim::apps::kernels::{AluBurst, PointerChase, StreamTriad};
 use capsim::apps::Workload;
+use capsim::dcm::PumpedLink;
 use capsim::ipmi::LanChannel;
 use capsim::prelude::*;
 
+/// Wait budget per IPMI attempt, in BMC polls (the `FleetBuilder` default).
+const POLLS_PER_ATTEMPT: u32 = 16;
+
 fn main() {
     let mut dcm = Dcm::new();
-    let mut threads = Vec::new();
-    let mut ids: Vec<NodeId> = Vec::new();
 
-    // Boot three nodes with different personalities.
-    let workloads: Vec<(&str, Box<dyn Workload + Send>)> = vec![
-        ("node-compute", Box::new(AluBurst { iters: 9_000_000 })),
-        ("node-stream", Box::new(StreamTriad { elems: 6 << 20, passes: 4 })),
-        ("node-latency", Box::new(PointerChase { elems: 2 << 20, hops: 1_200_000, seed: 3 })),
+    // Boot three nodes with different personalities; each runs its
+    // workload twice, once per half.
+    let halves: Vec<(&str, Box<dyn Workload>)> = vec![
+        ("node-compute", Box::new(AluBurst { iters: 4_500_000 })),
+        ("node-stream", Box::new(StreamTriad { elems: 6 << 20, passes: 2 })),
+        ("node-latency", Box::new(PointerChase { elems: 2 << 20, hops: 600_000, seed: 3 })),
     ];
-    for (i, (name, mut w)) in workloads.into_iter().enumerate() {
-        let (mgr_port, bmc_port) = LanChannel::pair();
-        ids.push(dcm.register_link(name, mgr_port));
-        threads.push(std::thread::spawn(move || {
-            let mut m = MachineBuilder::e5_2680().seed(100 + i as u64).bmc_port(bmc_port).build();
-            let _ = w.run(&mut m);
-            let s = m.finish_run();
-            (name, s)
-        }));
+    let mut nodes: Vec<_> = halves
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, half))| {
+            let (port, bmc_port) = LanChannel::pair();
+            let m = MachineBuilder::e5_2680().seed(100 + i as u64).bmc_port(bmc_port).build();
+            (dcm.register(name), port, m, half)
+        })
+        .collect();
+
+    for (_, _, m, half) in &mut nodes {
+        half.run(m);
     }
 
-    // Give the nodes a moment to start reporting, then budget the group.
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    let readings: Vec<f64> = ids
-        .iter()
-        .map(|&id| dcm.read_power(id).map(|r| r.current_w as f64).unwrap_or(0.0))
-        .collect();
+    // Read each node's demand over its management link, then budget the
+    // group.
+    let mut demand = Vec::new();
+    for (id, port, m, _) in &mut nodes {
+        let mut link = PumpedLink::new(port, m, POLLS_PER_ATTEMPT);
+        let reading = dcm.read_power(*id, &mut link).expect("node reachable over IPMI");
+        demand.push((*id, reading.current_w as f64));
+    }
+    let readings: Vec<f64> = demand.iter().map(|&(_, w)| w).collect();
     println!("initial demand: {readings:?} W");
 
     let budget = 390.0;
-    let caps = dcm
-        .apply_group_budget(budget, &AllocationPolicy::ProportionalToDemand)
-        .expect("nodes reachable over IPMI");
+    let caps = dcm.plan_allocation(budget, &AllocationPolicy::ProportionalToDemand, &demand);
     println!("group budget {budget} W -> caps:");
-    for &(id, cap_w) in &caps {
-        let limit = dcm.node_limit(id).expect("limit stored");
+    for ((id, port, m, _), &(_, cap_w)) in nodes.iter_mut().zip(&caps) {
+        let mut link = PumpedLink::new(port, m, POLLS_PER_ATTEMPT);
+        dcm.cap_node(*id, &mut link, cap_w).expect("cap accepted");
+        let limit = dcm.node_limit(*id, &mut link).expect("limit stored");
         println!(
             "  {}: cap {cap_w} W (limit {} W, correction {} ms, {:?})",
-            dcm.node_name(id),
+            dcm.node_name(*id),
             limit.limit_w,
             limit.correction_ms,
-            dcm.health(id)
+            dcm.health(*id)
         );
     }
+    let total_w: f64 = caps.iter().map(|&(_, w)| w).sum();
+    assert!(total_w <= budget, "caps sum to {total_w} W, over the {budget} W budget");
 
-    for t in threads {
-        let (name, s) = t.join().expect("node thread");
+    for (id, _, m, half) in &mut nodes {
+        half.run(m);
+        let s = m.finish_run();
         println!(
-            "{name}: ran {:.3} s at {:.1} W avg (min {:.1} / max {:.1}), energy {:.1} J",
-            s.wall_s, s.avg_power_w, s.min_power_w, s.max_power_w, s.energy_j
+            "{}: ran {:.3} s at {:.1} W avg (min {:.1} / max {:.1}), energy {:.1} J",
+            dcm.node_name(*id),
+            s.wall_s,
+            s.avg_power_w,
+            s.min_power_w,
+            s.max_power_w,
+            s.energy_j
         );
+        assert!(s.bmc_stats.0 > 0, "{}'s BMC never escalated under its cap", dcm.node_name(*id));
     }
     println!(
         "\nThe group's total draw is steered toward the budget while busy\n\

@@ -1,12 +1,11 @@
 //! Offline stand-in for `crossbeam-channel`, backed by `std::sync::mpsc`.
 //!
-//! capsim uses only unbounded channels with `send` / `recv` / `try_recv` /
-//! `recv_timeout`, which `std` provides directly; this shim adapts the
-//! names and error types so the IPMI transport code compiles unchanged.
+//! capsim uses only unbounded channels with `send` / `try_recv`, which
+//! `std` provides directly; this shim adapts the names and error types so
+//! the IPMI transport code compiles unchanged.
 
 use std::fmt;
 use std::sync::mpsc;
-use std::time::Duration;
 
 /// Error returned by [`Sender::send`] when the receiver is gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,18 +16,6 @@ impl<T> fmt::Display for SendError<T> {
         write!(f, "sending on a disconnected channel")
     }
 }
-
-/// Error returned by [`Receiver::recv`] when the sender is gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-impl fmt::Display for RecvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "receiving on a disconnected channel")
-    }
-}
-
-impl std::error::Error for RecvError {}
 
 /// Error returned by [`Receiver::try_recv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,26 +36,6 @@ impl fmt::Display for TryRecvError {
 }
 
 impl std::error::Error for TryRecvError {}
-
-/// Error returned by [`Receiver::recv_timeout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// No message arrived before the deadline.
-    Timeout,
-    /// All senders have been dropped.
-    Disconnected,
-}
-
-impl fmt::Display for RecvTimeoutError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecvTimeoutError::Timeout => write!(f, "receive timed out"),
-            RecvTimeoutError::Disconnected => write!(f, "channel disconnected"),
-        }
-    }
-}
-
-impl std::error::Error for RecvTimeoutError {}
 
 /// Sending half of an unbounded channel.
 pub struct Sender<T> {
@@ -93,21 +60,10 @@ pub struct Receiver<T> {
 }
 
 impl<T> Receiver<T> {
-    pub fn recv(&self) -> Result<T, RecvError> {
-        self.inner.recv().map_err(|_| RecvError)
-    }
-
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         self.inner.try_recv().map_err(|e| match e {
             mpsc::TryRecvError::Empty => TryRecvError::Empty,
             mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-        })
-    }
-
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        self.inner.recv_timeout(timeout).map_err(|e| match e {
-            mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-            mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
         })
     }
 }
@@ -123,11 +79,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn send_recv_fifo() {
+    fn send_try_recv_fifo() {
         let (tx, rx) = unbounded();
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.try_recv(), Ok(1));
         assert_eq!(rx.try_recv(), Ok(2));
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
@@ -140,24 +96,15 @@ mod tests {
         let (tx, rx) = unbounded::<u8>();
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn recv_timeout_reports_timeout_and_data() {
-        let (tx, rx) = unbounded();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Err(RecvTimeoutError::Timeout));
-        tx.send(9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Ok(9));
-        drop(tx);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Err(RecvTimeoutError::Disconnected));
     }
 
     #[test]
     fn works_across_threads() {
+        // Fleet nodes, and the channel ends they own, move between worker
+        // threads: a frame sent on one thread is received on another.
         let (tx, rx) = unbounded();
-        let t = std::thread::spawn(move || tx.send(42).unwrap());
-        assert_eq!(rx.recv(), Ok(42));
-        t.join().unwrap();
+        std::thread::spawn(move || tx.send(42).unwrap()).join().unwrap();
+        assert_eq!(rx.try_recv(), Ok(42));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 }

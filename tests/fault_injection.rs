@@ -3,7 +3,7 @@
 //! budget reallocation, all in lock-step simulated time (no wall-clock,
 //! no flakiness).
 
-use capsim::dcm::{read_sel_via, violation_count, Dcm, PumpedLink};
+use capsim::dcm::{read_sel, violation_count, Dcm, PumpedLink};
 use capsim::ipmi::{
     FaultSpec, IpmiError, LanChannel, Request, Response, RetryPolicy, SelEntry, Transact,
 };
@@ -79,10 +79,10 @@ proptest! {
         let node = dcm.register("n0");
 
         let mut link = PumpedLink::new(&mut port, &mut machine, 16);
-        dcm.cap_node_via(node, &mut link, watts as f64)
+        dcm.cap_node(node, &mut link, watts as f64)
             .expect("retry must converge on an eventually-delivering link");
         let limit = dcm
-            .node_limit_via(node, &mut link)
+            .node_limit(node, &mut link)
             .expect("read-back must converge too");
         prop_assert_eq!(limit.limit_w, watts);
         prop_assert_eq!(dcm.health(node), NodeHealth::Healthy);
@@ -103,7 +103,7 @@ fn sel_audit_over_a_lossy_link_matches_the_nodes_own_log() {
     let node = dcm.register("n0");
     {
         let mut link = PumpedLink::new(&mut port, &mut machine, 16);
-        dcm.cap_node_via(node, &mut link, 118.0).expect("cap lands despite faults");
+        dcm.cap_node(node, &mut link, 118.0).expect("cap lands despite faults");
     }
     // Run the node so the BMC observes the violation and logs it.
     let block = machine.code_block(96, 24);
@@ -123,7 +123,7 @@ fn sel_audit_over_a_lossy_link_matches_the_nodes_own_log() {
     // attempts that the bound, not seed luck, guarantees convergence.
     let patient = RetryPolicy { attempts: 12, ..RetryPolicy::default() };
     let mut link = PumpedLink::new(&mut port, &mut machine, 16);
-    let audited = read_sel_via(&mut link, &patient).expect("SEL readable");
+    let audited = read_sel(&mut link, &patient).expect("SEL readable");
     assert_eq!(audited, truth, "audit over faults must reproduce the node's log exactly");
 }
 
@@ -140,7 +140,7 @@ fn sel_audit_wire_cost_is_proportional_to_the_log_not_the_id_space() {
     let node = dcm.register("n0");
     {
         let mut link = PumpedLink::new(&mut port, &mut machine, 16);
-        dcm.cap_node_via(node, &mut link, 118.0).expect("cap lands despite faults");
+        dcm.cap_node(node, &mut link, 118.0).expect("cap lands despite faults");
     }
     let block = machine.code_block(96, 24);
     for _ in 0..200_000 {
@@ -154,7 +154,7 @@ fn sel_audit_wire_cost_is_proportional_to_the_log_not_the_id_space() {
     let retry = RetryPolicy::default();
     let mut link =
         CountingLink { inner: PumpedLink::new(&mut port, &mut machine, 16), transactions: 0 };
-    let audited = read_sel_via(&mut link, &retry).expect("SEL readable");
+    let audited = read_sel(&mut link, &retry).expect("SEL readable");
     assert_eq!(audited, truth, "counting must not change the audit result");
 
     // Wire cost: one info read plus one get per candidate id — the live

@@ -2,15 +2,15 @@
 //! live machines — the data-center-side view of the paper's "measured
 //! power above the cap" rows.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use capsim::apps::kernels::AluBurst;
 use capsim::apps::Workload;
-use capsim::dcm::{read_sel, violation_count, Dcm, FleetMonitor};
+use capsim::dcm::{read_sel, violation_count, Dcm, FleetMonitor, PumpedLink};
 use capsim::ipmi::{LanChannel, SelEventType};
 use capsim::node::{MachineBuilder, PowercapFs};
 use capsim::prelude::*;
+
+/// `FleetBuilder`'s wait budget per IPMI attempt, in BMC polls.
+const POLLS_PER_ATTEMPT: u32 = 16;
 
 fn fast(seed: u64) -> Machine {
     MachineBuilder::e5_2680().seed(seed).control_period_us(10.0).meter_window_s(2e-4).build()
@@ -18,47 +18,40 @@ fn fast(seed: u64) -> Machine {
 
 #[test]
 fn unreachable_cap_leaves_a_sel_paper_trail_readable_over_ipmi() {
-    let (mgr, bmc_port) = LanChannel::pair();
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_node = stop.clone();
-    let t = std::thread::spawn(move || {
-        let mut m = fast(51);
-        m.attach_bmc_port(bmc_port);
-        AluBurst { iters: 9_000_000 }.run(&mut m);
-        let stats = m.finish_run();
-        // Stay answerable out-of-band after the run, like a real BMC.
-        while !stop_node.load(Ordering::Relaxed) {
-            m.service_bmc();
-            std::thread::yield_now();
-        }
-        stats
-    });
+    let (mut mgr, bmc_port) = LanChannel::pair();
+    let mut m = fast(51);
+    m.attach_bmc_port(bmc_port);
     let mut dcm = Dcm::new();
     // Short correction time so the scaled run accrues violations (the
     // default 1 s matches paper-scale runs, not millisecond tests).
     dcm.correction_ms = 5;
-    let node = dcm.register_link("n0", mgr);
+    let node = dcm.register("n0");
     // A 118 W cap is below the throttle floor: violations must accrue.
-    dcm.cap_node(node, 118.0).expect("cap accepted");
+    dcm.cap_node(node, &mut PumpedLink::new(&mut mgr, &mut m, POLLS_PER_ATTEMPT), 118.0)
+        .expect("cap accepted");
+    // Run the burst in slices, polling the node's power between them.
     let mut monitor = FleetMonitor::for_dcm(&dcm, 64);
-    for _ in 0..200 {
-        monitor.poll(&mut dcm).expect("node up");
-        std::thread::yield_now();
+    for _ in 0..30 {
+        AluBurst { iters: 300_000 }.run(&mut m);
+        let mut link = PumpedLink::new(&mut mgr, &mut m, POLLS_PER_ATTEMPT);
+        let reading = dcm.read_power(node, &mut link).expect("node up");
+        monitor.record(node, reading.current_w as f64);
     }
+    let stats = m.finish_run();
     assert_eq!(dcm.health(node), NodeHealth::Healthy);
     // The monitor saw the node pinned near its floor, above the cap.
     let mean = monitor.history(node).mean().expect("samples");
     assert!(mean > 118.0, "floor sits above the cap: {mean}");
     assert_eq!(monitor.hotspots(118.0), vec![node]);
 
-    let sel = read_sel(&mut dcm, node).expect("SEL readable");
+    // The BMC stays answerable out-of-band after the run, like a real one.
+    let mut link = PumpedLink::new(&mut mgr, &mut m, POLLS_PER_ATTEMPT);
+    let sel = read_sel(&mut link, &dcm.retry).expect("SEL readable");
     assert!(
         sel.iter().any(|e| e.event == SelEventType::PowerLimitConfigured),
         "configuration logged"
     );
     assert!(violation_count(&sel) > 0, "sustained violations logged: {sel:?}");
-    stop.store(true, Ordering::Relaxed);
-    let stats = t.join().expect("node");
     assert!(stats.bmc_stats.2 > 0, "BMC counted exceptions too");
 }
 
