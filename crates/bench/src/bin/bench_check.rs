@@ -13,7 +13,9 @@
 //! * `BENCH_fleet*`: `nodes`, `speedup` positive; `deterministic` must be
 //!   `true`; `curve` must be a non-empty array of scaling points, each
 //!   with positive `nodes`, `threads`, `shards` and
-//!   `node_epochs_per_sec`,
+//!   `node_epochs_per_sec` and a bool `parallel`; serial points
+//!   (`parallel: false`) also need positive `heap_bytes_per_node` and
+//!   `heap_bytes_per_node_after_run`,
 //! * `BENCH_obs*`: `loads_per_sec_obs_off`, `loads_per_sec_obs_on`,
 //!   `overhead_pct`, `within_budget` — and `within_budget` must be true,
 //! * `BENCH_chaos*`: `soak_scenarios_per_sec` positive,
@@ -233,7 +235,21 @@ fn check_file(path: &str, errors: &mut Vec<String>) {
             }
             Some(Val::Arr(points)) => {
                 for (i, point) in points.iter().enumerate() {
-                    for key in ["nodes", "threads", "shards", "node_epochs_per_sec"] {
+                    let heap: &[&str] = match point.get("parallel") {
+                        Some(Val::Bool(false)) => {
+                            &["heap_bytes_per_node", "heap_bytes_per_node_after_run"]
+                        }
+                        Some(Val::Bool(true)) => &[],
+                        other => {
+                            errors.push(format!(
+                                "{path}: curve[{i}].parallel must be a bool, got {other:?}"
+                            ));
+                            &[]
+                        }
+                    };
+                    for &key in
+                        ["nodes", "threads", "shards", "node_epochs_per_sec"].iter().chain(heap)
+                    {
                         match point.get(key) {
                             Some(Val::Num(v)) if *v > 0.0 => {}
                             Some(other) => errors.push(format!(
@@ -603,7 +619,10 @@ mod tests {
             &fleet,
             "{\"nodes\": 10000, \"speedup\": 1.0, \"deterministic\": true, \
              \"curve\": [{\"nodes\": 256, \"threads\": 1, \"shards\": 1, \
-             \"node_epochs_per_sec\": 250.0}]}",
+             \"parallel\": false, \"node_epochs_per_sec\": 250.0, \
+             \"heap_bytes_per_node\": 11000.5, \"heap_bytes_per_node_after_run\": 13000.0}, \
+             {\"nodes\": 256, \"threads\": 2, \"shards\": 4, \"parallel\": true, \
+             \"node_epochs_per_sec\": 260.0}]}",
         )
         .unwrap();
         let mut errors = Vec::new();
@@ -613,12 +632,30 @@ mod tests {
             &fleet,
             "{\"nodes\": 10000, \"speedup\": 1.0, \"deterministic\": true, \
              \"curve\": [{\"nodes\": 256, \"threads\": 1, \"shards\": 0, \
-             \"node_epochs_per_sec\": 250.0}]}",
+             \"parallel\": false, \"node_epochs_per_sec\": 250.0, \
+             \"heap_bytes_per_node\": 0}]}",
         )
         .unwrap();
         let mut errors = Vec::new();
         check_file(fleet.to_str().unwrap(), &mut errors);
         assert!(errors.iter().any(|e| e.contains("curve[0].shards")), "{errors:?}");
+        assert!(errors.iter().any(|e| e.contains("curve[0].heap_bytes_per_node ")), "{errors:?}");
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.contains("missing required key \"heap_bytes_per_node_after_run\"")),
+            "{errors:?}"
+        );
+        std::fs::write(
+            &fleet,
+            "{\"nodes\": 10000, \"speedup\": 1.0, \"deterministic\": true, \
+             \"curve\": [{\"nodes\": 256, \"threads\": 1, \"shards\": 1, \
+             \"node_epochs_per_sec\": 250.0}]}",
+        )
+        .unwrap();
+        let mut errors = Vec::new();
+        check_file(fleet.to_str().unwrap(), &mut errors);
+        assert!(errors.iter().any(|e| e.contains("curve[0].parallel")), "{errors:?}");
         std::fs::write(&fleet, "{\"nodes\": 1, \"speedup\": 1.0, \"deterministic\": false}")
             .unwrap();
         let mut errors = Vec::new();

@@ -22,12 +22,74 @@
 //! Speedup is whatever the host delivers: on a single-core runner every
 //! thread count ties, and the JSON records the measured numbers so
 //! readers can judge them.
+//!
+//! Every serial row also records `heap_bytes_per_node`: the live heap the
+//! fleet holds, divided by its node count, right after
+//! `FleetBuilder::build` and again after the last epoch
+//! (`heap_bytes_per_node_after_run`). A counting global allocator tracks
+//! live bytes. Heap bytes depend only on allocation sizes, so unlike RSS
+//! they repeat exactly on any host.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use capsim_dcm::{FleetBuilder, WorkloadSpec};
 use capsim_ipmi::FaultSpec;
+
+/// Live heap bytes; a statistic that publishes no other data, so every
+/// access is `Relaxed`.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting live bytes in [`LIVE_BYTES`].
+struct LiveHeap;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the bookkeeping is one
+// atomic add or subtract and never allocates.
+unsafe impl GlobalAlloc for LiveHeap {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LiveHeap = LiveHeap;
+
+fn live_heap_bytes() -> usize {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
 
 /// One measured configuration.
 #[derive(Clone)]
@@ -57,9 +119,22 @@ impl Point {
     }
 }
 
-/// Run one configuration in-process; returns (node-epochs/s, resolved
-/// shard count, fingerprint of the rendered report).
-fn measure(p: &Point) -> (f64, usize, u64) {
+/// What one configuration measured.
+struct Measured {
+    point: Point,
+    /// Node-epochs per second, build included.
+    rate: f64,
+    /// Resolved shard count.
+    shards: usize,
+    /// Fingerprint of the rendered report.
+    fingerprint: u64,
+    /// Live heap per node after build, and after the last epoch.
+    heap_built: f64,
+    heap_ran: f64,
+}
+
+/// Run one configuration in-process.
+fn measure(p: &Point) -> Measured {
     let mut b = FleetBuilder::new()
         .nodes(p.nodes)
         .epochs(p.epochs)
@@ -72,19 +147,33 @@ fn measure(p: &Point) -> (f64, usize, u64) {
     if p.shards > 0 {
         b = b.shards(p.shards);
     }
+    let heap0 = live_heap_bytes();
     let start = Instant::now();
-    let fleet = b.build();
+    let mut fleet = b.build();
+    let heap_built = live_heap_bytes() - heap0;
     let shards = fleet.shards();
-    let report = fleet.run();
+    while fleet.epochs_run() < fleet.epochs() {
+        fleet.step_epoch();
+    }
+    let heap_ran = live_heap_bytes() - heap0;
+    let report = fleet.finish();
     let wall = start.elapsed().as_secs_f64();
     let mut h = DefaultHasher::new();
     report.render().hash(&mut h);
-    ((p.nodes as u32 * p.epochs) as f64 / wall, shards, h.finish())
+    let per_node = |bytes: usize| bytes as f64 / p.nodes as f64;
+    Measured {
+        point: p.clone(),
+        rate: (p.nodes as u32 * p.epochs) as f64 / wall,
+        shards,
+        fingerprint: h.finish(),
+        heap_built: per_node(heap_built),
+        heap_ran: per_node(heap_ran),
+    }
 }
 
 /// Run one configuration in a child process with `CAPSIM_THREADS` set, so
 /// the rayon shim actually uses `threads` workers.
-fn measure_in_child(p: &Point) -> (f64, usize, u64) {
+fn measure_in_child(p: &Point) -> Measured {
     let exe = std::env::current_exe().expect("own path");
     let out = std::process::Command::new(exe)
         .env("CAPSIM_THREADS", p.threads.to_string())
@@ -108,14 +197,20 @@ fn measure_in_child(p: &Point) -> (f64, usize, u64) {
     );
     let text = String::from_utf8(out.stdout).expect("child output");
     let mut it = text.split_whitespace();
-    let rate: f64 = it.next().expect("rate").parse().expect("rate number");
-    let shards: usize = it.next().expect("shards").parse().expect("shard count");
-    let fp: u64 = it.next().expect("fingerprint").parse().expect("fingerprint number");
-    (rate, shards, fp)
+    let mut field = |name: &str| it.next().unwrap_or_else(|| panic!("child printed no {name}"));
+    Measured {
+        point: p.clone(),
+        rate: field("rate").parse().expect("rate number"),
+        shards: field("shards").parse().expect("shard count"),
+        fingerprint: field("fingerprint").parse().expect("fingerprint number"),
+        heap_built: field("heap after build").parse().expect("heap bytes"),
+        heap_ran: field("heap after run").parse().expect("heap bytes"),
+    }
 }
 
 /// Child entry: argv = --measure nodes epochs threads shards parallel
-/// datacenter lossy. Prints `<rate> <shards> <fingerprint>`.
+/// datacenter lossy. Prints `<rate> <shards> <fingerprint> <heap bytes
+/// per node after build> <after run>`.
 fn run_child(args: &[String]) {
     let num = |i: usize| args[i].parse::<usize>().expect("numeric arg");
     let p = Point {
@@ -127,15 +222,8 @@ fn run_child(args: &[String]) {
         datacenter: num(5) != 0,
         lossy: num(6) != 0,
     };
-    let (rate, shards, fp) = measure(&p);
-    println!("{rate} {shards} {fp}");
-}
-
-struct Measured {
-    point: Point,
-    rate: f64,
-    shards: usize,
-    fingerprint: u64,
+    let m = measure(&p);
+    println!("{} {} {} {} {}", m.rate, m.shards, m.fingerprint, m.heap_built, m.heap_ran);
 }
 
 fn main() {
@@ -190,9 +278,9 @@ fn main() {
     eprintln!("fleet scaling record ({scale}, {host_threads} host threads):");
     let mut measured: Vec<Measured> = Vec::with_capacity(points.len());
     for point in points {
-        let (rate, shards, fingerprint) = measure_in_child(&point);
-        eprintln!("  {:>9.1} ne/s  {}", rate, point.label());
-        measured.push(Measured { point, rate, shards, fingerprint });
+        let m = measure_in_child(&point);
+        eprintln!("  {:>9.1} ne/s  {:>8.1} B/node  {}", m.rate, m.heap_built, point.label());
+        measured.push(m);
     }
 
     // Determinism contract: every run of the same simulation
@@ -233,9 +321,19 @@ fn main() {
     let mut curve = String::new();
     for (i, m) in measured.iter().enumerate() {
         let sep = if i + 1 == measured.len() { "" } else { "," };
+        // Heap per node is recorded on serial rows, the series to compare
+        // across commits; parallel rows add shard and worker bookkeeping.
+        let heap = if m.point.parallel {
+            String::new()
+        } else {
+            format!(
+                ", \"heap_bytes_per_node\": {:.1}, \"heap_bytes_per_node_after_run\": {:.1}",
+                m.heap_built, m.heap_ran
+            )
+        };
         curve.push_str(&format!(
             "    {{\"nodes\": {}, \"threads\": {}, \"shards\": {}, \"parallel\": {}, \
-             \"load\": \"{}\", \"node_epochs_per_sec\": {:.1}}}{}\n",
+             \"load\": \"{}\", \"node_epochs_per_sec\": {:.1}{heap}}}{}\n",
             m.point.nodes,
             m.point.threads,
             m.shards,

@@ -6,6 +6,8 @@
 //! roughly linearly between ~0.75 V and ~1.05 V. P0 is the fastest state;
 //! higher numbers are slower and cheaper, as §II describes.
 
+use std::sync::Arc;
+
 /// One operating point.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PState {
@@ -18,9 +20,12 @@ pub struct PState {
 }
 
 /// The ordered table of P-states for a part.
+///
+/// The table is immutable once built and held behind an `Arc`, so every
+/// clone — one per machine config in a fleet — shares one allocation.
 #[derive(Clone, Debug)]
 pub struct PStateTable {
-    states: Vec<PState>,
+    states: Arc<[PState]>,
 }
 
 impl PStateTable {
@@ -46,11 +51,11 @@ impl PStateTable {
     /// prepended to the nominal table. Used by the turbo ablation to show
     /// how capping consumes the turbo headroom first.
     pub fn e5_2680_turbo() -> Self {
-        let mut base = Self::e5_2680();
-        let mut states = vec![PState { index: 0, freq_mhz: 3500.0, volts: 1.12 }];
-        for s in base.states.drain(..) {
-            states.push(PState { index: s.index + 1, freq_mhz: s.freq_mhz, volts: s.volts });
-        }
+        let turbo = PState { index: 0, freq_mhz: 3500.0, volts: 1.12 };
+        let nominal = Self::e5_2680();
+        let states = std::iter::once(turbo)
+            .chain(nominal.iter().map(|s| PState { index: s.index + 1, ..*s }))
+            .collect();
         PStateTable { states }
     }
 
@@ -73,6 +78,7 @@ impl PStateTable {
     }
 
     /// State by index, clamped into range.
+    #[inline]
     pub fn get(&self, index: u8) -> PState {
         let i = (index as usize).min(self.states.len() - 1);
         self.states[i]

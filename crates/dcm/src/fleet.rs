@@ -54,7 +54,7 @@ use capsim_ipmi::{
     ManagerPort, PowerLimit, PowerReading, Request, Response, RetryPolicy, Transact, WireOutcome,
 };
 use capsim_node::workload::traffic_keys;
-use capsim_node::{EpochWorkload, Machine, MachineConfig, QueueRoom, RunStats};
+use capsim_node::{EpochWorkload, Machine, MachineConfig, QueueRoom, RunStats, ThrottleLadder};
 use capsim_obs::{
     events_to_csv, events_to_jsonl, merge_streams, Event, EventKind, MetricsSnapshot,
 };
@@ -795,6 +795,10 @@ impl FleetBuilder {
         if let Some(cap) = self.observe {
             dcm.obs = capsim_obs::Obs::enabled(cap);
         }
+        // One ladder for the whole fleet: node configs differ only in their
+        // seed, which the ladder does not read, so each clone (sharing the
+        // rungs) is the ladder `Machine::new` would have built per node.
+        let ladder = ThrottleLadder::e5_2680(&self.base.pstates, self.base.full_mem());
         let mut nodes = Vec::with_capacity(self.nodes);
         for i in 0..self.nodes {
             let node_seed = mix(self.seed, i as u64);
@@ -806,7 +810,7 @@ impl FleetBuilder {
             };
             let mut cfg = self.base.clone();
             cfg.seed = node_seed;
-            let mut machine = Machine::new(cfg);
+            let mut machine = Machine::with_ladder(cfg, ladder.clone());
             if let Some(cap) = self.observe {
                 machine.enable_obs(cap);
             }

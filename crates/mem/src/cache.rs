@@ -12,7 +12,7 @@
 //! until re-enabled.
 
 use crate::config::CacheGeometry;
-use crate::replacement::{SetState, XorShift64};
+use crate::replacement::{FlatRepl, XorShift64};
 
 /// Whether an access is a read or a write (write-allocate either way).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,12 +32,13 @@ pub struct CacheResponse {
 }
 
 /// Per-set bookkeeping kept alongside the packed tag array: valid/dirty
-/// way bitmasks and the replacement state.
-#[derive(Clone, Debug)]
+/// way bitmasks and the set's inline replacement word (the LRU clock or
+/// the tree-PLRU bits; see [`FlatRepl`]).
+#[derive(Clone, Copy, Debug)]
 struct SetMeta {
     valid: u64,
     dirty: u64,
-    repl: SetState,
+    repl: u32,
 }
 
 /// One cache level. Addresses passed in are **line numbers** (physical
@@ -46,7 +47,9 @@ struct SetMeta {
 /// Tags are stored packed — one flat `sets × ways` array instead of a
 /// `Vec` per set — so a lookup touches one contiguous slice (one cache
 /// line for ≤8 ways) rather than chasing a per-set heap pointer, and the
-/// tag/valid scan fuses into a single pass.
+/// tag/valid scan fuses into a single pass. Replacement state is flat the
+/// same way: no set owns a heap allocation, so construction makes the
+/// same few allocations whatever the set count.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     geom: CacheGeometry,
@@ -58,6 +61,7 @@ pub struct SetAssocCache {
     /// Packed tag array: way `w` of set `s` lives at `s * ways + w`.
     tags: Vec<u64>,
     meta: Vec<SetMeta>,
+    repl: FlatRepl,
     rng: XorShift64,
     // statistics
     accesses: u64,
@@ -69,9 +73,8 @@ impl SetAssocCache {
     pub fn new(geom: CacheGeometry, seed: u64) -> Self {
         geom.validate();
         let n_sets = geom.sets();
-        let meta = (0..n_sets)
-            .map(|_| SetMeta { valid: 0, dirty: 0, repl: SetState::new(geom.policy, geom.ways) })
-            .collect();
+        let repl = FlatRepl::new(geom.policy, geom.ways, n_sets as usize);
+        let meta = vec![SetMeta { valid: 0, dirty: 0, repl: repl.initial_word() }; n_sets as usize];
         SetAssocCache {
             geom,
             ways: geom.ways,
@@ -80,6 +83,7 @@ impl SetAssocCache {
             set_shift: n_sets.trailing_zeros(),
             tags: vec![0; (n_sets * geom.ways as u64) as usize],
             meta,
+            repl,
             rng: XorShift64::new(seed),
             accesses: 0,
             misses: 0,
@@ -115,58 +119,70 @@ impl SetAssocCache {
         u64::MAX >> (64 - active)
     }
 
-    /// Access `line`; fill on miss. Returns hit/miss and any dirty victim.
+    /// The way holding `tag` in set `si`, if it is resident in an active
+    /// way. Fused tag/valid scan: one early-exit pass over the packed tag
+    /// row, walking the valid mask alongside instead of re-testing bit `w`
+    /// each turn.
     #[inline]
-    pub fn access(&mut self, line: u64, kind: AccessKind) -> CacheResponse {
-        self.accesses += 1;
-        let active = self.active_ways;
-        let si = (line & self.set_mask) as usize;
-        let tag = line >> self.set_shift;
+    fn find(&self, si: usize, tag: u64) -> Option<u32> {
         let base = si * self.ways as usize;
-        let tags = &mut self.tags[base..base + active as usize];
-        let meta = &mut self.meta[si];
-        // Fused tag/valid scan: one early-exit pass over the packed tag
-        // row, walking the valid mask alongside instead of re-testing bit
-        // `w` each turn.
-        let mut valid = meta.valid;
-        let mut hit_way = u32::MAX;
-        for (w, &t) in tags.iter().enumerate() {
+        let mut valid = self.meta[si].valid;
+        for (w, &t) in self.tags[base..base + self.active_ways as usize].iter().enumerate() {
             if valid & 1 != 0 && t == tag {
-                hit_way = w as u32;
-                break;
+                return Some(w as u32);
             }
             valid >>= 1;
         }
-        if hit_way != u32::MAX {
-            meta.repl.touch(hit_way);
-            if kind == AccessKind::Write {
-                meta.dirty |= 1u64 << hit_way;
-            }
-            return CacheResponse { hit: true, writeback: None };
-        }
-        self.misses += 1;
-        // Fill: prefer the lowest invalid active way, else the policy victim.
+        None
+    }
+
+    /// The miss path of [`Self::access`] and [`Self::fill`]: install `tag`
+    /// in set `si` — in the lowest invalid active way, else the policy
+    /// victim — marked dirty or clean, and return the evicted line if it
+    /// was dirty.
+    #[inline]
+    fn install(&mut self, si: usize, tag: u64, dirty: bool) -> Option<u64> {
+        let active = self.active_ways;
+        let meta = &mut self.meta[si];
         let invalid = !meta.valid & Self::active_mask(active);
         let way = if invalid != 0 {
             invalid.trailing_zeros()
         } else {
-            meta.repl.victim(active, &mut self.rng)
+            self.repl.victim(si, meta.repl, active, &mut self.rng)
         };
         let bit = 1u64 << way;
+        let slot = &mut self.tags[si * self.ways as usize + way as usize];
         let mut writeback = None;
         if meta.valid & bit != 0 && meta.dirty & bit != 0 {
-            let victim_line = (tags[way as usize] << self.set_shift) | si as u64;
-            writeback = Some(victim_line);
+            writeback = Some((*slot << self.set_shift) | si as u64);
             self.writebacks += 1;
         }
-        tags[way as usize] = tag;
+        *slot = tag;
         meta.valid |= bit;
-        if kind == AccessKind::Write {
+        if dirty {
             meta.dirty |= bit;
         } else {
             meta.dirty &= !bit;
         }
-        meta.repl.touch(way);
+        self.repl.touch(si, &mut meta.repl, way);
+        writeback
+    }
+
+    /// Access `line`; fill on miss. Returns hit/miss and any dirty victim.
+    #[inline]
+    pub fn access(&mut self, line: u64, kind: AccessKind) -> CacheResponse {
+        self.accesses += 1;
+        let (si, tag) = self.index(line);
+        if let Some(way) = self.find(si, tag) {
+            let meta = &mut self.meta[si];
+            self.repl.touch(si, &mut meta.repl, way);
+            if kind == AccessKind::Write {
+                meta.dirty |= 1u64 << way;
+            }
+            return CacheResponse { hit: true, writeback: None };
+        }
+        self.misses += 1;
+        let writeback = self.install(si, tag, kind == AccessKind::Write);
         CacheResponse { hit: false, writeback }
     }
 
@@ -174,46 +190,21 @@ impl SetAssocCache {
     /// tests and by the technique detector.
     pub fn probe(&self, line: u64) -> bool {
         let (si, tag) = self.index(line);
-        let base = si * self.ways as usize;
-        let tags = &self.tags[base..base + self.active_ways as usize];
-        let mut valid = self.meta[si].valid;
-        for &t in tags {
-            if valid & 1 != 0 && t == tag {
-                return true;
-            }
-            valid >>= 1;
-        }
-        false
+        self.find(si, tag).is_some()
     }
 
-    /// Install a line without classifying the access (used by prefetchers).
-    /// Returns a dirty victim line if one was evicted.
-    pub fn fill(&mut self, line: u64) -> Option<u64> {
-        if self.probe(line) {
-            return None;
-        }
-        let active = self.active_ways;
+    /// Install a line without classifying the access (used by
+    /// prefetchers), in one scan of its set. `hit` reports that the line
+    /// was already resident — it is then left alone, like a probe: no
+    /// statistics, no replacement update. Otherwise the line is filled
+    /// clean and `writeback` carries any dirty victim.
+    #[inline]
+    pub fn fill(&mut self, line: u64) -> CacheResponse {
         let (si, tag) = self.index(line);
-        let base = si * self.ways as usize;
-        let meta = &mut self.meta[si];
-        let invalid = !meta.valid & Self::active_mask(active);
-        let way = if invalid != 0 {
-            invalid.trailing_zeros()
-        } else {
-            meta.repl.victim(active, &mut self.rng)
-        };
-        let bit = 1u64 << way;
-        let mut writeback = None;
-        let slot = &mut self.tags[base + way as usize];
-        if meta.valid & bit != 0 && meta.dirty & bit != 0 {
-            writeback = Some((*slot << self.set_shift) | si as u64);
-            self.writebacks += 1;
+        if self.find(si, tag).is_some() {
+            return CacheResponse { hit: true, writeback: None };
         }
-        *slot = tag;
-        meta.valid |= bit;
-        meta.dirty &= !bit;
-        meta.repl.touch(way);
-        writeback
+        CacheResponse { hit: false, writeback: self.install(si, tag, false) }
     }
 
     /// Gate or un-gate ways. Shrinking flushes the disabled ways: their
@@ -350,8 +341,9 @@ mod tests {
     #[test]
     fn prefetch_fill_does_not_count_as_demand_access() {
         let mut c = small(4, ReplacementPolicy::Lru);
-        c.fill(5);
+        assert!(!c.fill(5).hit);
         assert_eq!(c.stats().0, 0);
+        assert!(c.fill(5).hit, "a second fill finds the line resident");
         assert!(c.access(5, AccessKind::Read).hit);
     }
 

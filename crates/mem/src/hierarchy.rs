@@ -237,7 +237,7 @@ impl MemoryHierarchy {
         c.stats.l1d_misses += 1;
         out.l1_miss = true;
         if let Some(victim) = r1.writeback {
-            Self::writeback_to_l2(&self.cfg, c, &mut self.l3, &mut self.dram, victim);
+            Self::writeback_to_l2(c, &mut self.l3, &mut self.dram, victim);
         }
         Self::l2_demand(&self.cfg, c, &mut self.l3, &mut self.dram, line, &mut out);
         out
@@ -350,13 +350,11 @@ impl MemoryHierarchy {
 
     /// Dirty line leaving an L1D: write into L2 (and ripple further).
     fn writeback_to_l2(
-        cfg: &HierarchyConfig,
         c: &mut CorePrivate,
         l3: &mut SetAssocCache,
         dram: &mut DramModel,
         line: u64,
     ) {
-        let _ = cfg;
         c.stats.writebacks += 1;
         let r = c.l2.access(line, AccessKind::Write);
         if let Some(victim) = r.writeback {
@@ -379,18 +377,20 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Install a prefetched line into L2, fetching it from L3/DRAM.
+    /// Install a prefetched line into L2, fetching it from L3/DRAM. One
+    /// L3 call both checks residency and fills on absence.
     fn prefetch_fill(c: &mut CorePrivate, l3: &mut SetAssocCache, dram: &mut DramModel, line: u64) {
-        if !l3.probe(line) {
-            // Pull into L3 from DRAM first (prefetch counts as DRAM read).
-            if let Some(victim) = l3.fill(line) {
+        let r3 = l3.fill(line);
+        if !r3.hit {
+            // Pulled into L3 from DRAM first (prefetch counts as DRAM read).
+            if let Some(victim) = r3.writeback {
                 c.stats.dram_writes += 1;
                 dram.access(victim, true);
             }
             c.stats.dram_reads += 1;
             dram.access(line, false);
         }
-        if let Some(victim) = c.l2.fill(line) {
+        if let Some(victim) = c.l2.fill(line).writeback {
             Self::writeback_to_l3(c, l3, dram, victim);
         }
     }

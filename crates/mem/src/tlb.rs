@@ -8,23 +8,30 @@
 //! comfortably fit before now thrashes.
 
 use crate::config::TlbGeometry;
-use crate::replacement::{SetState, XorShift64};
+use crate::replacement::{FlatRepl, XorShift64};
 
-#[derive(Clone, Debug)]
-struct TlbSet {
-    vpns: Vec<u64>,
-    ppns: Vec<u64>,
+/// Per-set bookkeeping kept alongside the packed entry array: the valid
+/// way bitmask and the set's inline replacement word (see [`FlatRepl`]).
+#[derive(Clone, Copy, Debug)]
+struct TlbSetMeta {
     valid: u64,
-    repl: SetState,
+    repl: u32,
 }
 
 /// A set-associative TLB. Entry shrink removes whole ways (uniformly
 /// across sets), mirroring how SRAM banks gate.
+///
+/// Entries are stored packed like the caches' tags: one flat
+/// `sets × ways` array of `(vpn, ppn)` pairs, with each set's valid mask
+/// and replacement word inline, so no set owns a heap allocation.
 #[derive(Clone, Debug)]
 pub struct Tlb {
     geom: TlbGeometry,
     active_ways: u32,
-    sets: Vec<TlbSet>,
+    /// Entry `w` of set `s` lives at `s * geom.ways + w`.
+    entries: Vec<(u64, u64)>,
+    meta: Vec<TlbSetMeta>,
+    repl: FlatRepl,
     set_mask: u64,
     rng: XorShift64,
     lookups: u64,
@@ -34,18 +41,14 @@ pub struct Tlb {
 impl Tlb {
     pub fn new(geom: TlbGeometry, seed: u64) -> Self {
         geom.validate();
-        let sets = (0..geom.sets())
-            .map(|_| TlbSet {
-                vpns: vec![0; geom.ways as usize],
-                ppns: vec![0; geom.ways as usize],
-                valid: 0,
-                repl: SetState::new(geom.policy, geom.ways),
-            })
-            .collect();
+        let sets = geom.sets() as usize;
+        let repl = FlatRepl::new(geom.policy, geom.ways, sets);
         Tlb {
             geom,
             active_ways: geom.ways,
-            sets,
+            entries: vec![(0, 0); sets * geom.ways as usize],
+            meta: vec![TlbSetMeta { valid: 0, repl: repl.initial_word() }; sets],
+            repl,
             set_mask: geom.sets() as u64 - 1,
             rng: XorShift64::new(seed),
             lookups: 0,
@@ -69,12 +72,13 @@ impl Tlb {
     pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
         self.lookups += 1;
         let si = (vpn & self.set_mask) as usize;
-        let set = &mut self.sets[si];
-        for way in 0..self.active_ways {
-            let bit = 1u64 << way;
-            if set.valid & bit != 0 && set.vpns[way as usize] == vpn {
-                set.repl.touch(way);
-                return Some(set.ppns[way as usize]);
+        let base = si * self.geom.ways as usize;
+        let meta = &mut self.meta[si];
+        let row = &self.entries[base..base + self.active_ways as usize];
+        for (way, &(v, ppn)) in row.iter().enumerate() {
+            if meta.valid & (1u64 << way) != 0 && v == vpn {
+                self.repl.touch(si, &mut meta.repl, way as u32);
+                return Some(ppn);
             }
         }
         self.misses += 1;
@@ -85,14 +89,13 @@ impl Tlb {
     pub fn insert(&mut self, vpn: u64, ppn: u64) {
         let si = (vpn & self.set_mask) as usize;
         let active = self.active_ways;
-        let set = &mut self.sets[si];
+        let meta = &mut self.meta[si];
         let way = (0..active)
-            .find(|&w| set.valid & (1 << w) == 0)
-            .unwrap_or_else(|| set.repl.victim(active, &mut self.rng));
-        set.vpns[way as usize] = vpn;
-        set.ppns[way as usize] = ppn;
-        set.valid |= 1 << way;
-        set.repl.touch(way);
+            .find(|&w| meta.valid & (1 << w) == 0)
+            .unwrap_or_else(|| self.repl.victim(si, meta.repl, active, &mut self.rng));
+        self.entries[si * self.geom.ways as usize + way as usize] = (vpn, ppn);
+        meta.valid |= 1 << way;
+        self.repl.touch(si, &mut meta.repl, way);
     }
 
     /// Shrink (or re-grow) the active entry count. `entries` is rounded
@@ -102,9 +105,9 @@ impl Tlb {
         let per_way = self.geom.sets();
         let ways = (entries / per_way).clamp(1, self.geom.ways);
         if ways < self.active_ways {
-            for set in &mut self.sets {
+            for meta in &mut self.meta {
                 for w in ways..self.active_ways {
-                    set.valid &= !(1u64 << w);
+                    meta.valid &= !(1u64 << w);
                 }
             }
         }
@@ -113,8 +116,8 @@ impl Tlb {
 
     /// Drop every cached translation (context switch / reset).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.valid = 0;
+        for meta in &mut self.meta {
+            meta.valid = 0;
         }
     }
 

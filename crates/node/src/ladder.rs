@@ -21,6 +21,8 @@
 //! low-cap techniques "provided small decreases in power consumption at
 //! the cost of high losses in execution time performance".
 
+use std::sync::Arc;
+
 use capsim_cpu::{PStateTable, TState};
 use capsim_mem::{MemGateLevel, MemReconfig};
 
@@ -43,9 +45,13 @@ impl Rung {
 }
 
 /// The ordered ladder.
+///
+/// Immutable once built and held behind an `Arc`, so clones share one
+/// allocation: the fleet builds the ladder once and hands every node a
+/// clone.
 #[derive(Clone, Debug)]
 pub struct ThrottleLadder {
-    rungs: Vec<Rung>,
+    rungs: Arc<[Rung]>,
 }
 
 impl ThrottleLadder {
@@ -98,7 +104,7 @@ impl ThrottleLadder {
                 },
             });
         }
-        ThrottleLadder { rungs }
+        ThrottleLadder { rungs: rungs.into() }
     }
 
     /// A DVFS-only ladder (used by the X1 ablation: what would the paper's

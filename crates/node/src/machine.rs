@@ -258,7 +258,6 @@ impl SensorFault {
 pub struct Machine {
     cfg: MachineConfig,
     timing: TimingParams,
-    pstates: PStateTable,
     hier: MemoryHierarchy,
     clock: SimClock,
     cores: Vec<CoreState>,
@@ -314,8 +313,9 @@ impl Machine {
         Self::with_ladder(cfg, ladder)
     }
 
-    /// Build with a custom throttle ladder (ablations swap in
-    /// [`ThrottleLadder::dvfs_only`]).
+    /// Build with a given throttle ladder: ablations swap in
+    /// [`ThrottleLadder::dvfs_only`], and a fleet passes every node a
+    /// clone of the one ladder it built, which shares its rungs.
     pub fn with_ladder(cfg: MachineConfig, ladder: ThrottleLadder) -> Self {
         cfg.validate();
         let hier = MemoryHierarchy::new(cfg.hierarchy, cfg.n_cores, cfg.seed);
@@ -331,7 +331,6 @@ impl Machine {
         let tick_period_ns = cfg.control_period_us * 1e3;
         Machine {
             timing: cfg.timing,
-            pstates: cfg.pstates.clone(),
             hier,
             clock: SimClock::new(),
             cores,
@@ -466,7 +465,8 @@ impl Machine {
     /// active core and advance time.
     #[inline]
     fn charge(&mut self, cycles: f64, ns: f64) {
-        let (unhalted_ns, wall_ns) = self.charge_memo.times(cycles, ns, &self.pstates, &self.rung);
+        let (unhalted_ns, wall_ns) =
+            self.charge_memo.times(cycles, ns, &self.cfg.pstates, &self.rung);
         self.freq_meter.record(cycles, unhalted_ns);
         let core = &mut self.cores[self.active_core];
         core.unhalted_cycles_f += cycles;
@@ -620,7 +620,7 @@ impl Machine {
                 win_instr,
                 win_cycles,
                 charge_memo,
-                pstates,
+                cfg,
                 rung,
                 ..
             } = self;
@@ -642,7 +642,7 @@ impl Machine {
                         out.ns * dram_exposed,
                     )
                 };
-                let (unhalted_ns, wall_ns) = charge_memo.times(cycles, ns, pstates, rung);
+                let (unhalted_ns, wall_ns) = charge_memo.times(cycles, ns, &cfg.pstates, rung);
                 freq_meter.record(cycles, unhalted_ns);
                 core.unhalted_cycles_f += cycles;
                 core.win_wall_ns += wall_ns;
@@ -805,7 +805,7 @@ impl Machine {
         let window_s = window_ns * 1e-9;
         let mem_now = self.hier.total_stats();
         let delta = mem_now - self.win_mem_snapshot;
-        let pstate = self.pstates.get(self.rung.pstate);
+        let pstate = self.cfg.pstates.get(self.rung.pstate);
         // Activity factor from the achieved issue rate (see capsim-power).
         let issue_ratio = if self.win_cycles > 0.0 {
             (self.win_instr as f64 / (self.win_cycles * self.timing.issue_width)).min(1.0)
