@@ -51,6 +51,11 @@ echo "== datacenter smoke (DCM budgets three nodes mid-run over pumped IPMI link
 echo "   asserts caps sum within the budget and every node's BMC escalated)"
 cargo run -q --release --example datacenter >/dev/null
 
+echo "== fleet, telemetry and policy-lab example smokes (each plans through the fleet's CapPolicy)"
+cargo run -q --release --example fleet >/dev/null
+cargo run -q --release --example telemetry >/dev/null
+cargo run -q --release --example policy_lab >/dev/null
+
 echo "== closed-loop smoke (retry-storm fleet, serial vs parallel byte-compared inline)"
 cargo run -q --release --example closed_loop >/dev/null
 

@@ -41,10 +41,10 @@ pub struct ChaosScenario {
     pub plan: FaultPlan,
     pub observe: bool,
     pub invariants: InvariantConfig,
-    /// Pluggable capping policy for every node + the group planner
-    /// (None: the fleet's stock ladder + `AllocationPolicy` path). Lets
-    /// the fault plans double as an adversarial eval for policy backends.
-    pub policy: Option<CapPolicySpec>,
+    /// Capping policy for every node and the group planner (default: the
+    /// ladder over a uniform split, as in a plain fleet). Lets the fault
+    /// plans double as an adversarial eval for policy backends.
+    pub policy: CapPolicySpec,
 }
 
 impl ChaosScenario {
@@ -74,7 +74,7 @@ impl ChaosScenario {
             ),
             observe: true,
             invariants: InvariantConfig::default(),
-            policy: None,
+            policy: CapPolicySpec::default(),
         }
     }
 
@@ -96,14 +96,13 @@ impl ChaosScenario {
             plan: FaultPlan::none(),
             observe: false,
             invariants: InvariantConfig::default(),
-            policy: None,
+            policy: CapPolicySpec::default(),
         }
     }
 
-    /// Run the scenario under a policy backend instead of the stock
-    /// ladder path.
+    /// Run the scenario under another policy backend.
     pub fn with_policy(mut self, spec: CapPolicySpec) -> ChaosScenario {
-        self.policy = Some(spec);
+        self.policy = spec;
         self
     }
 
@@ -127,12 +126,9 @@ impl ChaosScenario {
         if let Some(w) = self.budget_w {
             b = b.budget_w(w);
         }
-        b = b.workload(self.workload.clone());
+        b = b.workload(self.workload.clone()).cap_policy(self.policy.build());
         if let Some(k) = self.shards {
             b = b.shards(k);
-        }
-        if let Some(spec) = &self.policy {
-            b = b.cap_policy(spec.build());
         }
         b.build()
     }
@@ -141,7 +137,7 @@ impl ChaosScenario {
         format!(
             "{{\"name\":\"{}\",\"nodes\":{},\"epochs\":{},\"epoch_s\":{},\"seed\":{},\
              \"budget_w\":{},\"workload\":\"{}\",\"control_period_us\":{},\"meter_window_s\":{},\
-             \"policy\":{},\"plan\":{}}}",
+             \"policy\":\"{}\",\"plan\":{}}}",
             self.name,
             self.nodes,
             self.epochs,
@@ -151,7 +147,7 @@ impl ChaosScenario {
             self.workload.name(),
             self.control_period_us,
             self.meter_window_s,
-            self.policy.as_ref().map_or("null".into(), |p| format!("\"{}\"", p.name())),
+            self.policy.name(),
             self.plan.to_json()
         )
     }

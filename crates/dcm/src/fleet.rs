@@ -8,14 +8,15 @@
 //! 1. **Poll phase** (parallel over shards) — each group steps its
 //!    shard's nodes by `epoch_s`, then polls their power over IPMI. A
 //!    group does *wire work only*: it captures every transaction as a
-//!    [`WireOutcome`] and reports aggregate demand up, recording nothing
-//!    itself.
+//!    [`WireOutcome`] and hands the outcomes up undecoded, recording
+//!    nothing itself.
 //! 2. **Root barrier** (serial) — the root absorbs the captured
 //!    outcomes in canonical node order (replaying retry/timeout
 //!    observability and health transitions exactly as a flat manager
-//!    would have), runs fleet-side violation detection, and plans the
-//!    budget allocation over the nodes that answered (uniform /
-//!    proportional / priority).
+//!    would have, and decoding each reading once), runs fleet-side
+//!    violation detection, and plans the budget over the nodes that
+//!    answered through the fleet's [`CapPolicy`] — the only planner
+//!    (default: [`LadderCapPolicy`] over a uniform split).
 //! 3. **Push phase** (parallel over shards) — groups push the planned
 //!    caps (DCMI *Set* + *Activate*), again capturing outcomes.
 //! 4. **Root barrier** (serial) — outcomes absorbed in node order; the
@@ -29,9 +30,9 @@
 //! **Determinism contract:** per-node transactions touch only that
 //! node's link and BMC, and the root absorbs outcomes in registration
 //! order, so serial, parallel and *any* shard count produce byte-equal
-//! reports and observability streams. The allocation policies are
-//! written in partition-invariant closed form (see `policy.rs`) so the
-//! root's plan also cannot depend on how demand was gathered.
+//! reports and observability streams. The allocation rules are written
+//! in partition-invariant closed form (see `capsim_policy::allocate`) so
+//! the root's plan also cannot depend on how demand was gathered.
 //!
 //! Two elisions keep quiescent fleets cheap, both decided from state
 //! that cannot depend on sharding: a poll is skipped when the root's
@@ -50,20 +51,19 @@
 
 use capsim_ipmi::sel::SelEntry;
 use capsim_ipmi::{
-    splitmix64, CompletionCode, FaultSpec, FaultStats, GetPowerReading, IpmiError, LanChannel,
-    ManagerPort, PowerLimit, PowerReading, Request, Response, RetryPolicy, Transact, WireOutcome,
+    splitmix64, FaultSpec, FaultStats, GetPowerReading, IpmiError, LanChannel, ManagerPort,
+    PowerLimit, Request, Response, RetryPolicy, Transact, WireOutcome,
 };
 use capsim_node::workload::traffic_keys;
 use capsim_node::{EpochWorkload, Machine, MachineConfig, QueueRoom, RunStats, ThrottleLadder};
 use capsim_obs::{
     events_to_csv, events_to_jsonl, merge_streams, Event, EventKind, MetricsSnapshot,
 };
-use capsim_policy::CapPolicy;
+use capsim_policy::{CapPolicy, LadderCapPolicy};
 use rayon::prelude::*;
 
 use crate::manager::{CapPushOutcome, Dcm, NodeHealth, NodeId};
 use crate::monitor::{read_sel, violation_count};
-use capsim_policy::AllocationPolicy;
 
 /// Bucket upper edges (watts) for the per-node power histogram sampled at
 /// every barrier. Centered on the paper's 95–170 W measurement band.
@@ -122,8 +122,9 @@ struct SimNode {
 /// work for a contiguous range of nodes. Groups run on worker threads
 /// during the parallel phases and deliberately hold no mutable state and
 /// no observability sink — every transaction outcome is captured and
-/// reported up for the root to absorb in canonical node order, which is
-/// what keeps the recorded streams independent of the shard count.
+/// handed up undecoded for the root to absorb (and decode) in canonical
+/// node order, which is what keeps the recorded streams independent of
+/// the shard count. Groups plan nothing: the root plans the whole fleet.
 pub struct GroupManager {
     /// Registration-index range of the shard (contiguous).
     range: std::ops::Range<usize>,
@@ -131,27 +132,12 @@ pub struct GroupManager {
     retry: RetryPolicy,
 }
 
-/// One node's slot in a group's poll report.
+/// One node's slot in a group's poll phase.
 enum PollOutcome {
     /// The root's cached reading is provably current; no wire traffic.
     Skipped,
     /// A captured wire transaction for the root to absorb.
     Polled(WireOutcome),
-}
-
-/// A group's report for one poll phase: per-node outcomes plus the shard
-/// aggregates a hierarchical manager forwards upward. Demands are whole
-/// watts (DCMI readings), so the aggregate sum is exact and the root's
-/// own absorption must reproduce it no matter how the fleet is sharded —
-/// `debug_assert`ed at the root.
-struct GroupPollReport {
-    outcomes: Vec<PollOutcome>,
-    /// Sum of successfully decoded fresh readings.
-    fresh_demand_w: f64,
-    /// Fresh polls that decoded to a reading.
-    answered: u32,
-    /// Polls elided via the cached-reading fast path.
-    skipped: u32,
 }
 
 impl GroupManager {
@@ -162,41 +148,28 @@ impl GroupManager {
     /// Phase 1 for this shard: step every node by `epoch_s`, then gather
     /// demand. `can_skip` is the root's per-node clearance (aligned to
     /// the shard) to use the cached reading if — and only if — the BMC
-    /// agrees a fresh poll would repeat itself.
+    /// agrees a fresh poll would repeat itself. Returns one outcome per
+    /// node, in shard order.
     fn poll_phase(
         &self,
         nodes: &mut [SimNode],
         epoch_s: f64,
         can_skip: &[bool],
-    ) -> GroupPollReport {
+    ) -> Vec<PollOutcome> {
         debug_assert_eq!(nodes.len(), self.len());
-        let mut report = GroupPollReport {
-            outcomes: Vec::with_capacity(nodes.len()),
-            fresh_demand_w: 0.0,
-            answered: 0,
-            skipped: 0,
-        };
+        let mut outcomes = Vec::with_capacity(nodes.len());
         for (n, &skip_ok) in nodes.iter_mut().zip(can_skip) {
             n.machine.step(epoch_s, n.load.as_mut());
             if skip_ok && n.machine.bmc_poll_would_repeat() {
-                report.skipped += 1;
-                report.outcomes.push(PollOutcome::Skipped);
+                outcomes.push(PollOutcome::Skipped);
                 continue;
             }
             let mut link = PumpedLink::new(&mut n.port, &mut n.machine, self.polls_per_attempt);
             let out =
                 WireOutcome::capture(&mut link, &self.retry, &|seq| GetPowerReading::request(seq));
-            if let Ok(resp) = &out.result {
-                if resp.completion == CompletionCode::Ok {
-                    if let Ok(r) = PowerReading::decode(&resp.payload) {
-                        report.fresh_demand_w += r.current_w as f64;
-                        report.answered += 1;
-                    }
-                }
-            }
-            report.outcomes.push(PollOutcome::Polled(out));
+            outcomes.push(PollOutcome::Polled(out));
         }
-        report
+        outcomes
     }
 
     /// Phase 2 for this shard: push the planned caps. `work` is aligned
@@ -312,7 +285,10 @@ pub struct EpochRecord {
     /// Per-node power readings this epoch (node registration index,
     /// watts) — the chaos harness checks cap compliance against these.
     pub readings: Vec<(u32, f64)>,
-    /// Caps pushed this epoch (node registration index, watts).
+    /// Caps in effect after this epoch's push (node registration index,
+    /// watts): every cap pushed this epoch plus every elided one, whose
+    /// value the node was already enforcing. Unplanned nodes and failed
+    /// pushes are absent.
     pub caps: Vec<(u32, f64)>,
 }
 
@@ -362,6 +338,8 @@ impl FleetObs {
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetReport {
     pub nodes: usize,
+    /// Epochs actually stepped: fewer than configured when the fleet was
+    /// finished early.
     pub epochs: u32,
     pub epoch_s: f64,
     pub budget_w: f64,
@@ -577,7 +555,7 @@ pub struct TrafficSummary {
     pub p99_ms: f64,
     /// 99.9th-percentile completion latency, milliseconds.
     pub p999_ms: f64,
-    /// Completions per simulated second over the configured horizon.
+    /// Completions per simulated second over the stepped horizon.
     pub goodput_rps: f64,
 }
 
@@ -587,7 +565,7 @@ pub struct FleetBuilder {
     epochs: u32,
     epoch_s: f64,
     budget_w: Option<f64>,
-    policy: AllocationPolicy,
+    policy: Box<dyn CapPolicy>,
     faults: FaultSpec,
     seed: u64,
     parallel: bool,
@@ -603,7 +581,6 @@ pub struct FleetBuilder {
     violation_after: u32,
     breaker_trip_after: u32,
     breaker_cooldown: u32,
-    cap_policy: Option<Box<dyn CapPolicy>>,
 }
 
 impl FleetBuilder {
@@ -622,7 +599,7 @@ impl FleetBuilder {
             epochs: 6,
             epoch_s: 5e-4,
             budget_w: None,
-            policy: AllocationPolicy::Uniform,
+            policy: Box::new(LadderCapPolicy::new()),
             faults: FaultSpec::none(),
             seed: 0,
             parallel: true,
@@ -638,7 +615,6 @@ impl FleetBuilder {
             violation_after: 3,
             breaker_trip_after: 2,
             breaker_cooldown: 2,
-            cap_policy: None,
         }
     }
 
@@ -666,21 +642,14 @@ impl FleetBuilder {
         self
     }
 
-    /// Budget allocation policy.
-    pub fn policy(mut self, p: AllocationPolicy) -> Self {
-        self.policy = p;
-        self
-    }
-
-    /// Install a pluggable capping policy spanning both layers: every
-    /// node's BMC gets a per-node clone (reseeded from the fleet seed)
-    /// for its control loop, and the root plans group budgets through the
-    /// policy's group half instead of [`FleetBuilder::policy`].
-    ///
-    /// Without this call the fleet runs exactly as before the policy
-    /// layer existed (ladder walk + the configured `AllocationPolicy`).
+    /// The capping policy, spanning both layers: every node's BMC gets a
+    /// per-node clone (reseeded from the fleet seed) for its control
+    /// loop, and the root plans every group budget through the policy's
+    /// group half. Default: [`LadderCapPolicy::new`], the ladder walk over
+    /// a uniform split; `CapPolicySpec::Ladder(rule).build()` picks another
+    /// allocation rule.
     pub fn cap_policy(mut self, policy: Box<dyn CapPolicy>) -> Self {
-        self.cap_policy = Some(policy);
+        self.policy = policy;
         self
     }
 
@@ -815,13 +784,11 @@ impl FleetBuilder {
                 machine.enable_obs(cap);
             }
             machine.attach_bmc_port(bmc_port);
-            if let Some(policy) = &self.cap_policy {
-                // Per-node instance with its own random stream, derived
-                // from the node seed so replays stay byte-identical.
-                let mut p = policy.clone_box();
-                p.reseed(mix(node_seed, 0xca9_0110));
-                machine.set_cap_policy(p);
-            }
+            // Per-node instance with its own random stream, derived from
+            // the node seed so replays stay byte-identical.
+            let mut policy = self.policy.clone_box();
+            policy.reseed(mix(node_seed, 0xca9_0110));
+            machine.set_cap_policy(policy);
             // Per-node workload seed, distinct from the fault and policy
             // streams so custom generators can't alias either.
             let load = self.workload.build_for(&mut machine, i, mix(node_seed, 0x10ad_5eed));
@@ -860,11 +827,9 @@ impl FleetBuilder {
             epoch_s: self.epoch_s,
             budget_w,
             policy: self.policy,
-            cap_policy: self.cap_policy,
             parallel: self.parallel,
             polls_per_attempt: self.polls_per_attempt,
             audit_sel: self.audit_sel,
-            observe: self.observe.is_some(),
             violation_margin_w: self.violation_margin_w,
             violation_after: self.violation_after,
             breaker_trip_after: self.breaker_trip_after,
@@ -897,12 +862,11 @@ pub struct Fleet {
     epochs: u32,
     epoch_s: f64,
     budget_w: f64,
-    policy: AllocationPolicy,
-    cap_policy: Option<Box<dyn CapPolicy>>,
+    /// The fleet's planner; each node's BMC holds its own clone.
+    policy: Box<dyn CapPolicy>,
     parallel: bool,
     polls_per_attempt: u32,
     audit_sel: bool,
-    observe: bool,
     violation_margin_w: f64,
     violation_after: u32,
     breaker_trip_after: u32,
@@ -1030,8 +994,10 @@ impl Fleet {
     /// * **Root barrier (serial).** The root absorbs the captured wire
     ///   outcomes in registration order (so health bookkeeping, metrics
     ///   and events are byte-identical to a serial run), detects cap
-    ///   violations, reallocates the budget and plans the pushes —
-    ///   eliding any push whose cap is already confirmed in effect.
+    ///   violations, reallocates the budget through the fleet's
+    ///   [`CapPolicy`] (recording a `policy_plan` event when observed)
+    ///   and plans the pushes — eliding any push whose cap is already
+    ///   confirmed in effect.
     /// * **Push phase (parallel over shards).** Groups push the planned
     ///   caps; the root absorbs the outcomes in order.
     ///
@@ -1044,6 +1010,7 @@ impl Fleet {
         // the epoch schedule, not any node's exact overshoot).
         let barrier_t_s = (epoch as f64 + 1.0) * self.epoch_s;
         self.dcm.set_obs_time_s(barrier_t_s);
+        let observe = self.dcm.obs.is_enabled();
         let n = self.nodes.len();
 
         // Root clearance for the poll fast path: the cached reading is
@@ -1060,52 +1027,41 @@ impl Fleet {
             g.poll_phase(chunk, epoch_s, &can_skip[g.range.clone()])
         };
         let chunks = Self::shard_chunks(&self.groups, &mut self.nodes);
-        let reports: Vec<GroupPollReport> = if self.parallel {
+        let outcomes: Vec<Vec<PollOutcome>> = if self.parallel {
             chunks.into_par_iter().map(run_poll).collect()
         } else {
             chunks.into_iter().map(run_poll).collect()
         };
 
-        // Root absorbs the poll outcomes in registration order.
+        // Root absorbs the poll outcomes in registration order. Shards
+        // are contiguous and in order, so the flattened stream is too.
         let mut demand: Vec<(NodeId, f64)> = Vec::with_capacity(n);
         let mut polls_skipped = 0u64;
-        for (g, report) in self.groups.iter().zip(reports) {
-            debug_assert_eq!(report.outcomes.len(), g.len());
-            let mut fresh_w = 0.0;
-            let mut fresh_n = 0u32;
-            for (off, out) in report.outcomes.into_iter().enumerate() {
-                let i = g.range.start + off;
-                let id = self.nodes[i].id;
-                match out {
-                    PollOutcome::Skipped => {
-                        // The cached reading is guaranteed equal to what
-                        // a fresh poll would have returned.
-                        polls_skipped += 1;
-                        self.ctrl.timeout_streak[i] = 0;
-                        demand.push((id, self.ctrl.demand_w[i]));
-                    }
-                    PollOutcome::Polled(out) => match self.dcm.absorb_power_poll(id, out) {
-                        Ok(r) => {
-                            let w = r.current_w as f64;
-                            self.ctrl.demand_w[i] = w;
-                            self.ctrl.demand_valid[i] = true;
-                            self.ctrl.poll_ok[i] = true;
-                            self.ctrl.timeout_streak[i] = 0;
-                            fresh_w += w;
-                            fresh_n += 1;
-                            demand.push((id, w));
-                        }
-                        Err(_) => {
-                            self.ctrl.poll_ok[i] = false;
-                            self.ctrl.timeout_streak[i] += 1;
-                        }
-                    },
+        for (i, out) in outcomes.into_iter().flatten().enumerate() {
+            let id = self.nodes[i].id;
+            match out {
+                PollOutcome::Skipped => {
+                    // The cached reading is guaranteed equal to what a
+                    // fresh poll would have returned.
+                    polls_skipped += 1;
+                    self.ctrl.timeout_streak[i] = 0;
+                    demand.push((id, self.ctrl.demand_w[i]));
                 }
+                PollOutcome::Polled(out) => match self.dcm.absorb_power_poll(id, out) {
+                    Ok(r) => {
+                        let w = r.current_w as f64;
+                        self.ctrl.demand_w[i] = w;
+                        self.ctrl.demand_valid[i] = true;
+                        self.ctrl.poll_ok[i] = true;
+                        self.ctrl.timeout_streak[i] = 0;
+                        demand.push((id, w));
+                    }
+                    Err(_) => {
+                        self.ctrl.poll_ok[i] = false;
+                        self.ctrl.timeout_streak[i] += 1;
+                    }
+                },
             }
-            // The shard's aggregates must match what the root absorbed —
-            // the partition invariance the hierarchy leans on.
-            debug_assert_eq!(fresh_n, report.answered);
-            debug_assert_eq!(fresh_w, report.fresh_demand_w);
         }
 
         // Fleet-side cap-violation detection: compare each reading against
@@ -1146,7 +1102,7 @@ impl Fleet {
             self.update_breakers(epoch, barrier_t_s);
         }
         let (failover_moved, failover_dropped) = self.route_failover(&rooms);
-        if self.observe && failover_moved + failover_dropped > 0 {
+        if observe && failover_moved + failover_dropped > 0 {
             self.dcm.obs.metrics.add("fleet.failover_moved", failover_moved);
             self.dcm.obs.metrics.add("fleet.failover_dropped", failover_dropped);
             self.dcm.obs.events.record(
@@ -1159,46 +1115,41 @@ impl Fleet {
             );
         }
 
-        // Reallocate and plan the pushes. A push is elided when the last
-        // push fully succeeded (Set *and* Activate) and landed exactly
-        // this cap — then the BMC is provably already enforcing it.
-        let caps = match &self.cap_policy {
-            Some(p) => {
-                // Tail-aware policies (and only those) get the per-node
-                // p99 completion latency alongside demand; latency-blind
-                // backends never touch observability state, so their
-                // plans stay byte-identical with obs on or off.
-                let tails: Vec<f64> = if p.wants_tail() {
-                    demand
-                        .iter()
-                        .map(|&(id, _)| {
-                            self.nodes[id.index()]
-                                .machine
-                                .obs()
-                                .metrics
-                                .hist_quantile(traffic_keys::LATENCY_MS, 0.99)
-                                .unwrap_or(0.0)
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let caps = self.dcm.plan_with(self.budget_w, p.as_ref(), &demand, &tails);
-                if self.observe {
-                    self.dcm.obs.events.record(
-                        barrier_t_s,
-                        EventKind::PolicyPlan {
-                            policy: p.name(),
-                            epoch,
-                            answered: demand.len() as u32,
-                            granted_w: caps.iter().map(|&(_, c)| c).sum(),
-                        },
-                    );
-                }
-                caps
-            }
-            None => self.dcm.plan_allocation(self.budget_w, &self.policy, &demand),
+        // Reallocate through the fleet's policy. Tail-aware policies (and
+        // only those) get the per-node p99 completion latency alongside
+        // demand; latency-blind backends never touch observability
+        // state, so their plans stay byte-identical with obs on or off.
+        let tails: Vec<f64> = if self.policy.wants_tail() {
+            demand
+                .iter()
+                .map(|&(id, _)| {
+                    self.nodes[id.index()]
+                        .machine
+                        .obs()
+                        .metrics
+                        .hist_quantile(traffic_keys::LATENCY_MS, 0.99)
+                        .unwrap_or(0.0)
+                })
+                .collect()
+        } else {
+            Vec::new()
         };
+        let caps = self.dcm.plan_with(self.budget_w, self.policy.as_ref(), &demand, &tails);
+        if observe {
+            self.dcm.obs.events.record(
+                barrier_t_s,
+                EventKind::PolicyPlan {
+                    policy: self.policy.name(),
+                    epoch,
+                    answered: demand.len() as u32,
+                    granted_w: caps.iter().map(|&(_, c)| c).sum(),
+                },
+            );
+        }
+
+        // Plan the pushes. A push is elided when the last push fully
+        // succeeded (Set *and* Activate) and landed exactly this cap —
+        // then the BMC is provably already enforcing it.
         self.ctrl.planned.fill(None);
         let mut pushes_skipped = 0u64;
         for &(id, cap) in &caps {
@@ -1255,7 +1206,7 @@ impl Fleet {
 
         let unresponsive = n - self.dcm.responsive_nodes().len();
         let fleet_power_w: f64 = demand.iter().map(|&(_, w)| w).sum();
-        if self.observe {
+        if observe {
             let m = &mut self.dcm.obs.metrics;
             for &(_, w) in &demand {
                 m.observe("fleet.node_power_w", &FLEET_POWER_BOUNDS, w);
@@ -1334,7 +1285,7 @@ impl Fleet {
             };
             if next != cur {
                 self.ctrl.breaker[i] = next;
-                if self.observe {
+                if self.dcm.obs.is_enabled() {
                     self.dcm.obs.metrics.inc("fleet.breaker_transitions");
                     self.dcm.obs.events.record_for(
                         barrier_t_s,
@@ -1448,7 +1399,8 @@ impl Fleet {
         let audit = self.audit_sel;
         let retry = self.dcm.retry;
         let polls = self.polls_per_attempt;
-        if self.observe {
+        let observe = self.dcm.obs.is_enabled();
+        if observe {
             // Fold the per-link fault injector tallies into the manager's
             // metrics before snapshotting: they live in the transport, not
             // in either endpoint's registry.
@@ -1500,7 +1452,7 @@ impl Fleet {
                 sel_violations,
             });
         }
-        let obs = if self.observe {
+        let obs = if observe {
             let mut metrics = self.dcm.obs.metrics.snapshot();
             for n in &self.nodes {
                 metrics.absorb(&n.machine.obs().metrics.snapshot());
@@ -1514,7 +1466,7 @@ impl Fleet {
         };
         FleetReport {
             nodes: self.nodes.len(),
-            epochs: self.epochs,
+            epochs: self.next_epoch,
             epoch_s: self.epoch_s,
             budget_w: self.budget_w,
             records,
@@ -1527,6 +1479,35 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capsim_policy::{CapDecision, GroupDemand, NodeCapView};
+
+    /// A test-local backend whose group half grants node `i` exactly
+    /// `120 + i` watts, whatever the budget and demand. Its node half is
+    /// the ladder walk.
+    #[derive(Clone, Debug)]
+    struct FixedSplit;
+
+    impl CapPolicy for FixedSplit {
+        fn name(&self) -> &'static str {
+            "fixed_split"
+        }
+
+        fn node_decide(&mut self, view: &NodeCapView) -> CapDecision {
+            LadderCapPolicy::new().node_decide(view)
+        }
+
+        fn group_allocate(&self, _budget_w: f64, demand: &[GroupDemand], _floor: f64) -> Vec<f64> {
+            demand.iter().map(|d| 120.0 + d.node as f64).collect()
+        }
+
+        fn clone_box(&self) -> Box<dyn CapPolicy> {
+            Box::new(self.clone())
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
 
     #[test]
     fn fleet_runs_and_caps_every_node() {
@@ -1613,6 +1594,14 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "events sorted by time");
         assert!(!obs.events_jsonl().is_empty());
         assert!(obs.events_csv().starts_with("seq,t_s,node,kind,detail\n"));
+        // The default ladder plans every barrier and announces each plan
+        // like any other backend.
+        let ladder_plans = obs
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::PolicyPlan { policy: "ladder", .. }))
+            .count();
+        assert_eq!(ladder_plans, 4, "one ladder plan per barrier");
 
         // The observed run must not perturb the simulation itself.
         let on_plain = FleetReport { obs: None, ..on.clone() };
@@ -1655,6 +1644,59 @@ mod tests {
         }
         let stepped = fleet.finish();
         assert_eq!(whole, stepped, "step_epoch loop must equal run()");
+
+        // A fleet finished early reports the epochs it actually stepped,
+        // so the rendered header and any per-horizon rate agree with its
+        // records.
+        let mut fleet = FleetBuilder::new().nodes(3).epochs(4).seed(9).build();
+        fleet.step_epoch();
+        fleet.step_epoch();
+        let early = fleet.finish();
+        assert_eq!(early.epochs as usize, early.records.len());
+        assert_eq!(early.epochs, 2);
+        assert!(early.render().starts_with("fleet nodes=3 epochs=2 "));
+    }
+
+    #[test]
+    fn the_installed_policy_is_the_only_planner() {
+        let run = |observe: bool| {
+            FleetBuilder::new()
+                .nodes(4)
+                .epochs(3)
+                .seed(13)
+                .cap_policy(Box::new(FixedSplit))
+                .observe(observe)
+                .build()
+                .run()
+        };
+        let on = run(true);
+        // Clean links: every node answers and every push lands, so the
+        // caps in effect are exactly the policy's split, every epoch.
+        let split: Vec<(u32, f64)> = (0..4u32).map(|i| (i, 120.0 + i as f64)).collect();
+        for r in &on.records {
+            assert_eq!(r.caps, split, "epoch {}", r.epoch);
+        }
+        let granted_w: f64 = split.iter().map(|&(_, c)| c).sum();
+        let plans: Vec<EventKind> = on
+            .obs
+            .as_ref()
+            .expect("observed run")
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::PolicyPlan { .. }))
+            .map(|e| e.kind.clone())
+            .collect();
+        let want: Vec<EventKind> = (0..3)
+            .map(|epoch| EventKind::PolicyPlan {
+                policy: "fixed_split",
+                epoch,
+                answered: 4,
+                granted_w,
+            })
+            .collect();
+        assert_eq!(plans, want, "one plan per barrier, named, granting the split");
+        // Announcing plans is telemetry only.
+        assert_eq!(run(false), FleetReport { obs: None, ..on });
     }
 
     #[test]

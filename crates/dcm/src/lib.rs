@@ -7,7 +7,8 @@
 //!
 //! The manager here does exactly that: over a [`capsim_ipmi::Transact`]
 //! link to each node's BMC it polls DCMI power readings, divides a **group
-//! power budget** across nodes according to an [`AllocationPolicy`], and
+//! power budget** across nodes through a [`capsim_policy::CapPolicy`]'s
+//! group half (by default the ladder over an [`AllocationPolicy`]), and
 //! pushes the resulting per-node caps with DCMI *Set Power Limit* +
 //! *Activate*. Every wait on the wire is counted in BMC polls
 //! ([`PumpedLink`]): the manager serves the node's BMC itself between

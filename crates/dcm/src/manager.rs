@@ -11,10 +11,14 @@
 //! manager's [`RetryPolicy`], then absorb it into observability and
 //! per-node [`NodeHealth`]. The sharded fleet captures on group workers
 //! and absorbs at the root; the operations below do both back to back.
-//! [`Dcm::plan_allocation`] divides the group budget over *responsive*
-//! nodes only — an unresponsive node's share is reallocated to its healthy
-//! peers (degraded-mode operation) rather than stranded on a node that
-//! cannot hear its cap anyway.
+//!
+//! Planning is one path too: [`Dcm::plan_with`] hands the answering
+//! nodes' demand to a [`CapPolicy`]'s group half, and
+//! [`Dcm::plan_allocation`] is the same call with a
+//! [`LadderCapPolicy`] wrapped around a bare [`AllocationPolicy`]. Only
+//! nodes that answered are planned, so an unresponsive node's share is
+//! reallocated to its healthy peers (degraded-mode operation) rather than
+//! stranded on a node that cannot hear its cap anyway.
 
 use capsim_ipmi::dcmi::{
     ActivatePowerLimit, ExceptionAction, GetPowerLimit, GetPowerReading, PowerLimit, PowerReading,
@@ -24,7 +28,7 @@ use capsim_ipmi::{CompletionCode, IpmiError, Response, RetryPolicy, Transact, Wi
 use capsim_obs::{EventKind, Obs};
 
 use crate::error::DcmError;
-use capsim_policy::{allocate, AllocationPolicy, CapPolicy, GroupDemand};
+use capsim_policy::{AllocationPolicy, CapPolicy, GroupDemand, LadderCapPolicy};
 
 fn health_label(h: NodeHealth) -> &'static str {
     match h {
@@ -425,43 +429,34 @@ impl Dcm {
     // ------------------------------------------------------- group budgeting
 
     /// Divide `budget_w` over the nodes in `demand` (pairs of handle and
-    /// measured power) per `policy`. Pure planning — no wire traffic.
-    ///
-    /// Degraded-mode reallocation falls out of the input: callers pass
-    /// demand readings only for nodes that answered, so an unresponsive
-    /// node's share flows to its responsive peers automatically.
+    /// measured power) per a bare allocation rule: [`Dcm::plan_with`]
+    /// over a [`LadderCapPolicy`] wrapping `policy`. A fleet-wide
+    /// priority table is projected onto the answering nodes by the
+    /// ladder's group half.
     pub fn plan_allocation(
         &self,
         budget_w: f64,
         policy: &AllocationPolicy,
         demand: &[(NodeId, f64)],
     ) -> Vec<(NodeId, f64)> {
-        let demand_w: Vec<f64> = demand.iter().map(|&(_, w)| w).collect();
-        let policy = match policy {
-            // Priority vectors are fleet-wide; project onto the answering
-            // subset so the allocator sees one priority per node. Nodes
-            // past the end of the table rank last — a table that lags a
-            // node join degrades instead of panicking.
-            AllocationPolicy::Priority(p) => AllocationPolicy::Priority(
-                demand
-                    .iter()
-                    .map(|&(id, _)| p.get(id.index()).copied().unwrap_or(u8::MAX))
-                    .collect(),
-            ),
-            other => other.clone(),
-        };
-        let caps = allocate(&policy, budget_w, &demand_w, self.floor_w);
-        demand.iter().map(|&(id, _)| id).zip(caps).collect()
+        self.plan_with(budget_w, &LadderCapPolicy::with_group(policy.clone()), demand, &[])
     }
 
-    /// Like [`Dcm::plan_allocation`], but through a pluggable
-    /// [`CapPolicy`]'s group-level half. The policy sees fleet-wide node
-    /// indices alongside the demand, so identity-keyed schemes project
-    /// correctly onto a partial answering set. `tails` carries the
-    /// per-node p99 completion latency aligned with `demand` — callers
-    /// pass an empty slice (or zeros) unless the policy asked for tails
-    /// via [`CapPolicy::wants_tail`], so latency-blind backends never see
-    /// (or depend on) observability state.
+    /// The planner: divide `budget_w` over the nodes in `demand` (pairs
+    /// of handle and measured power) through `policy`'s group half. Pure
+    /// planning — no wire traffic. Returns one `(handle, cap)` per entry
+    /// of `demand`, in order.
+    ///
+    /// Degraded-mode reallocation falls out of the input: callers pass
+    /// demand readings only for nodes that answered, so an unresponsive
+    /// node's share flows to its responsive peers automatically. The
+    /// policy sees fleet-wide node indices alongside the demand, so
+    /// identity-keyed schemes project correctly onto a partial answering
+    /// set. `tails` carries the per-node p99 completion latency aligned
+    /// with `demand` — callers pass an empty slice (or zeros) unless the
+    /// policy asked for tails via [`CapPolicy::wants_tail`], so
+    /// latency-blind backends never see (or depend on) observability
+    /// state.
     pub fn plan_with(
         &self,
         budget_w: f64,

@@ -9,7 +9,7 @@
 //! speed and the node earns real idle time (energy-proportional "race to
 //! idle") instead of lingering half-throttled.
 
-use crate::{allocate, AllocationPolicy, CapDecision, CapPolicy, GroupDemand, NodeCapView};
+use crate::{CapDecision, CapPolicy, NodeCapView};
 
 /// Tunables for [`GovernorCapPolicy`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,7 +43,6 @@ impl Default for GovernorConfig {
 #[derive(Clone, Debug, PartialEq)]
 pub struct GovernorCapPolicy {
     cfg: GovernorConfig,
-    group: AllocationPolicy,
 }
 
 impl GovernorCapPolicy {
@@ -52,9 +51,7 @@ impl GovernorCapPolicy {
     }
 
     pub fn with_config(cfg: GovernorConfig) -> Self {
-        // Busy nodes get the headroom idle nodes are not using — the
-        // group-level expression of energy proportionality.
-        GovernorCapPolicy { cfg, group: AllocationPolicy::ProportionalToDemand }
+        GovernorCapPolicy { cfg }
     }
 
     pub fn config(&self) -> &GovernorConfig {
@@ -92,10 +89,9 @@ impl CapPolicy for GovernorCapPolicy {
         }
     }
 
-    fn group_allocate(&self, budget_w: f64, demand: &[GroupDemand], floor_w: f64) -> Vec<f64> {
-        let demand_w: Vec<f64> = demand.iter().map(|d| d.demand_w).collect();
-        allocate(&self.group, budget_w, &demand_w, floor_w)
-    }
+    // group_allocate: the trait's proportional default. Busy nodes get
+    // the headroom idle nodes are not using — the group-level expression
+    // of energy proportionality.
 
     fn node_quiescent(&self, window_avg_w: f64, cap_w: Option<f64>, hysteresis_w: f64) -> bool {
         // At rung 0 (the only rung the machine asks about) a steady

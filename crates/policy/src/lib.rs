@@ -121,7 +121,13 @@ pub trait CapPolicy: std::fmt::Debug + Send + Sync {
     /// Group level: divide `budget_w` across the answering nodes. Returns
     /// one cap per entry of `demand`, in order. Caps must respect
     /// `floor_w` (capping a node below its idle power is useless).
-    fn group_allocate(&self, budget_w: f64, demand: &[GroupDemand], floor_w: f64) -> Vec<f64>;
+    ///
+    /// The default is the partition-invariant proportional-to-demand
+    /// split: busy nodes get the headroom idle nodes are not using.
+    fn group_allocate(&self, budget_w: f64, demand: &[GroupDemand], floor_w: f64) -> Vec<f64> {
+        let demand_w: Vec<f64> = demand.iter().map(|d| d.demand_w).collect();
+        allocate(&AllocationPolicy::ProportionalToDemand, budget_w, &demand_w, floor_w)
+    }
 
     /// Does this policy read tail latency? When `false` (the default)
     /// neither the BMC nor the fleet barrier touches the observability
@@ -249,7 +255,8 @@ impl CapPolicy for LadderCapPolicy {
 ///
 /// Per-rung power/performance curves (and the ladder monotonicity tests)
 /// need the machine held at an exact rung for a whole run; no closed-loop
-/// policy can promise that. Group level allocates proportional to demand.
+/// policy can promise that. Group level keeps the trait's proportional
+/// default.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PinnedRungPolicy {
     rung: usize,
@@ -268,11 +275,6 @@ impl CapPolicy for PinnedRungPolicy {
 
     fn node_decide(&mut self, _v: &NodeCapView) -> CapDecision {
         CapDecision::SetRung(self.rung)
-    }
-
-    fn group_allocate(&self, budget_w: f64, demand: &[GroupDemand], floor_w: f64) -> Vec<f64> {
-        let demand_w: Vec<f64> = demand.iter().map(|d| d.demand_w).collect();
-        allocate(&AllocationPolicy::ProportionalToDemand, budget_w, &demand_w, floor_w)
     }
 
     fn clone_box(&self) -> Box<dyn CapPolicy> {
@@ -317,6 +319,13 @@ impl CapPolicySpec {
             CapPolicySpec::Rl(q) => Box::new(RlCapPolicy::frozen(q.clone())),
             CapPolicySpec::Slo(cfg) => Box::new(SloCapPolicy::with_config(*cfg)),
         }
+    }
+}
+
+/// The fleet's default: the ladder walk over a uniform split.
+impl Default for CapPolicySpec {
+    fn default() -> Self {
+        CapPolicySpec::Ladder(AllocationPolicy::Uniform)
     }
 }
 
@@ -387,7 +396,29 @@ mod tests {
     }
 
     #[test]
+    fn default_group_half_is_the_proportional_split() {
+        // Node 1 did not answer: the indices have a gap, and the split
+        // must follow the answering entries in order.
+        let demand = [
+            GroupDemand { node: 0, demand_w: 160.0, tail_ms: 0.0 },
+            GroupDemand { node: 2, demand_w: 120.0, tail_ms: 0.0 },
+            GroupDemand { node: 3, demand_w: 140.0, tail_ms: 0.0 },
+        ];
+        let want =
+            allocate(&AllocationPolicy::ProportionalToDemand, 400.0, &[160.0, 120.0, 140.0], 110.0);
+        let backends: [Box<dyn CapPolicy>; 3] = [
+            Box::new(GovernorCapPolicy::new()),
+            Box::new(RlCapPolicy::frozen(QTable::zeroed())),
+            Box::new(PinnedRungPolicy::new(3)),
+        ];
+        for p in backends {
+            assert_eq!(p.group_allocate(400.0, &demand, 110.0), want, "{}", p.name());
+        }
+    }
+
+    #[test]
     fn specs_build_their_backends() {
+        assert_eq!(CapPolicySpec::default(), CapPolicySpec::Ladder(AllocationPolicy::Uniform));
         assert_eq!(CapPolicySpec::Ladder(AllocationPolicy::Uniform).build().name(), "ladder");
         assert_eq!(CapPolicySpec::Governor(GovernorConfig::default()).build().name(), "governor");
         assert_eq!(CapPolicySpec::Rl(QTable::zeroed()).build().name(), "rl");

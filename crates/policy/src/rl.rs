@@ -14,7 +14,7 @@
 //! the same episode byte-for-byte; the trainer (in `capsim-dcm`) asserts
 //! same seed → same Q-table → same frontier point.
 
-use crate::{allocate, AllocationPolicy, CapDecision, CapPolicy, GroupDemand, NodeCapView};
+use crate::{CapDecision, CapPolicy, NodeCapView};
 
 /// Power-error buckets × rung bands × busy buckets.
 pub const STATES: usize = 7 * 6 * 4;
@@ -151,7 +151,6 @@ pub struct RlCapPolicy {
     last: Option<(usize, usize)>,
     updates: u64,
     explorations: u64,
-    group: AllocationPolicy,
 }
 
 impl RlCapPolicy {
@@ -165,22 +164,12 @@ impl RlCapPolicy {
             last: None,
             updates: 0,
             explorations: 0,
-            group: AllocationPolicy::ProportionalToDemand,
         }
     }
 
     /// A learner continuing from `q` (zeroed for episode one).
     pub fn learner(q: QTable, cfg: RlConfig) -> Self {
-        RlCapPolicy {
-            q,
-            cfg,
-            learning: true,
-            rng: 0,
-            last: None,
-            updates: 0,
-            explorations: 0,
-            group: AllocationPolicy::ProportionalToDemand,
-        }
+        RlCapPolicy { q, cfg, learning: true, rng: 0, last: None, updates: 0, explorations: 0 }
     }
 
     pub fn q_table(&self) -> &QTable {
@@ -284,12 +273,9 @@ impl CapPolicy for RlCapPolicy {
         Self::decision(action, v)
     }
 
-    fn group_allocate(&self, budget_w: f64, demand: &[GroupDemand], floor_w: f64) -> Vec<f64> {
-        // The learned half is node-local; the group split stays the
-        // partition-invariant proportional closed form.
-        let demand_w: Vec<f64> = demand.iter().map(|d| d.demand_w).collect();
-        allocate(&self.group, budget_w, &demand_w, floor_w)
-    }
+    // group_allocate: the trait's proportional default. The learned half
+    // is node-local; the group split stays the partition-invariant
+    // proportional closed form.
 
     // node_quiescent: default `false`. A learner mutates its table every
     // period and even a frozen greedy policy may jump at rung 0, so the

@@ -31,8 +31,8 @@ pub struct EmergencyConfig {
     pub budget_w_per_node: f64,
     /// Per-node offered load.
     pub traffic: TrafficSpec,
-    /// Capping backend (None: stock ladder + allocation policy).
-    pub policy: Option<CapPolicySpec>,
+    /// Capping backend (default: the ladder over a uniform split).
+    pub policy: CapPolicySpec,
     /// Inject the sensor-dropout + BMC-crash fault windows.
     pub faults: bool,
 }
@@ -67,7 +67,7 @@ impl EmergencyConfig {
             seed,
             budget_w_per_node: 118.0,
             traffic,
-            policy: None,
+            policy: CapPolicySpec::default(),
             faults: true,
         }
     }
@@ -104,7 +104,7 @@ impl EmergencyConfig {
 
     /// Swap in a policy backend.
     pub fn with_policy(mut self, spec: CapPolicySpec) -> EmergencyConfig {
-        self.policy = Some(spec);
+        self.policy = spec;
         self
     }
 

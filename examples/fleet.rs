@@ -17,7 +17,7 @@ fn main() {
         .nodes(12)
         .epochs(6)
         .budget_w(1500.0)
-        .policy(AllocationPolicy::ProportionalToDemand)
+        .cap_policy(CapPolicySpec::Ladder(AllocationPolicy::ProportionalToDemand).build())
         .faults(FaultSpec::lossy(0.05)) // 5% drop + 5% corruption per frame
         .dead_node(7) // this BMC never answers
         .seed(42)

@@ -17,7 +17,7 @@ fn main() {
     );
 
     let specs = [
-        CapPolicySpec::Ladder(AllocationPolicy::Uniform),
+        CapPolicySpec::default(),
         CapPolicySpec::Governor(GovernorConfig::default()),
         CapPolicySpec::Rl(trained.q.clone()),
     ];

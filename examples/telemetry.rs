@@ -21,7 +21,7 @@ fn main() {
         .nodes(nodes)
         .epochs(4)
         .budget_w(nodes as f64 * 128.0)
-        .policy(AllocationPolicy::ProportionalToDemand)
+        .cap_policy(CapPolicySpec::Ladder(AllocationPolicy::ProportionalToDemand).build())
         .faults(FaultSpec::lossy(0.08))
         .dead_node(2)
         .seed(42)

@@ -182,7 +182,7 @@ fn dead_node_is_quarantined_and_its_budget_flows_to_survivors() {
         .nodes(nodes)
         .epochs(6)
         .budget_w(budget)
-        .policy(AllocationPolicy::Uniform)
+        .cap_policy(CapPolicySpec::Ladder(AllocationPolicy::Uniform).build())
         .faults(FaultSpec::lossy(0.05))
         .dead_node(3)
         .seed(11)

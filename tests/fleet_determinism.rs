@@ -22,7 +22,7 @@ fn build_sharded(
         .nodes(16)
         .epochs(5)
         .budget_w(16.0 * 132.0)
-        .policy(AllocationPolicy::ProportionalToDemand)
+        .cap_policy(CapPolicySpec::Ladder(AllocationPolicy::ProportionalToDemand).build())
         .faults(faults)
         .dead_node(11)
         .seed(seed)
@@ -202,7 +202,7 @@ fn policies_are_deterministic_too() {
         let serial = FleetBuilder::new()
             .nodes(16)
             .epochs(3)
-            .policy(policy.clone())
+            .cap_policy(CapPolicySpec::Ladder(policy.clone()).build())
             .seed(5)
             .parallel(false)
             .build()
@@ -210,7 +210,7 @@ fn policies_are_deterministic_too() {
         let parallel = FleetBuilder::new()
             .nodes(16)
             .epochs(3)
-            .policy(policy)
+            .cap_policy(CapPolicySpec::Ladder(policy).build())
             .seed(5)
             .parallel(true)
             .build()

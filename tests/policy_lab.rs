@@ -1,9 +1,5 @@
 //! The pluggable-policy layer's acceptance gates.
 //!
-//! * Installing the default ladder backend explicitly is **byte-identical**
-//!   to the legacy path (the refactor moved the decision, not the
-//!   behavior) — for the plain default fleet and for a faulted
-//!   proportional one.
 //! * Every backend — ladder, governor, tabular-RL — survives the scripted
 //!   chaos scenario with all invariants green (the fault plans double as
 //!   an adversarial policy eval).
@@ -12,58 +8,6 @@
 
 use capsim::chaos::{check, ChaosScenario};
 use capsim::prelude::*;
-
-fn legacy_fleet(policy: AllocationPolicy, faulty: bool) -> FleetBuilder {
-    let mut b = FleetBuilder::new().nodes(4).epochs(3).budget_w(512.0).seed(42).policy(policy);
-    if faulty {
-        b = b.faults(FaultSpec::lossy(0.08)).dead_node(2);
-    }
-    b
-}
-
-fn render_of(b: FleetBuilder) -> String {
-    b.build().run().render()
-}
-
-#[test]
-fn explicit_ladder_backend_is_byte_identical_to_the_legacy_path() {
-    for (group, faulty) in
-        [(AllocationPolicy::Uniform, false), (AllocationPolicy::ProportionalToDemand, true)]
-    {
-        let legacy = render_of(legacy_fleet(group.clone(), faulty));
-        let layered = render_of(
-            legacy_fleet(group.clone(), faulty)
-                .cap_policy(Box::new(LadderCapPolicy::with_group(group.clone()))),
-        );
-        assert_eq!(legacy, layered, "ladder backend diverged for {group:?} faulty={faulty}");
-    }
-}
-
-#[test]
-fn explicit_ladder_backend_adds_only_policy_plan_events() {
-    // Observed runs: the layered path may announce its plans, but every
-    // other event — rung walks, SEL, barriers — must match byte for byte.
-    let events = |b: FleetBuilder| {
-        let report = b.observe(true).build().run();
-        report.obs.expect("observed").events_jsonl()
-    };
-    let legacy = events(legacy_fleet(AllocationPolicy::Uniform, true));
-    let layered = events(
-        legacy_fleet(AllocationPolicy::Uniform, true)
-            .cap_policy(Box::new(LadderCapPolicy::with_group(AllocationPolicy::Uniform))),
-    );
-    // The extra plan records renumber the manager stream's `seq` field, so
-    // compare everything *after* it (time, node, kind, payload).
-    let strip_seq = |l: &str| l[l.find("\"t_s\"").expect("jsonl line")..].to_string();
-    let legacy: Vec<String> = legacy.lines().map(strip_seq).collect();
-    let filtered: Vec<String> = layered
-        .lines()
-        .filter(|l| !l.contains("\"kind\":\"policy_plan\""))
-        .map(strip_seq)
-        .collect();
-    assert_eq!(legacy, filtered);
-    assert!(layered.contains("\"kind\":\"policy_plan\""), "layered path announces plans");
-}
 
 #[test]
 fn every_backend_survives_scripted_chaos_with_invariants_green() {

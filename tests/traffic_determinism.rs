@@ -15,6 +15,7 @@ use std::path::PathBuf;
 
 use capsim::chaos::{run_scenario, ChaosScenario, FaultPlan, InvariantConfig};
 use capsim::dcm::fleet::{FleetBuilder, FleetReport};
+use capsim::policy::CapPolicySpec;
 use capsim::traffic::{ArrivalCurve, ArrivalProcess, ClientSpec, TrafficSpec};
 use proptest::prelude::*;
 
@@ -111,7 +112,7 @@ fn flash_crowd_scenario() -> ChaosScenario {
         plan: FaultPlan::none(),
         observe: true,
         invariants: InvariantConfig::default(),
-        policy: None,
+        policy: CapPolicySpec::default(),
     }
 }
 
@@ -195,7 +196,7 @@ fn retry_storm_scenario(shards: Option<usize>) -> ChaosScenario {
         plan: FaultPlan::none(),
         observe: true,
         invariants: InvariantConfig::default(),
-        policy: None,
+        policy: CapPolicySpec::default(),
     }
 }
 
