@@ -59,6 +59,9 @@ cargo run -q --release --example policy_lab >/dev/null
 echo "== closed-loop smoke (retry-storm fleet, serial vs parallel byte-compared inline)"
 cargo run -q --release --example closed_loop >/dev/null
 
+echo "== traffic example smoke (unobserved serving fleets still report their request books)"
+cargo run -q --release --example traffic >/dev/null
+
 echo "== backpressure smoke (retry-only vs AIMD+brownout twins, per-class conservation,"
 echo "   CAPSIM_THREADS {1,4} re-exec fingerprints compared)"
 cargo run -q --release --example backpressure >/dev/null

@@ -345,6 +345,9 @@ pub struct FleetReport {
     pub budget_w: f64,
     pub records: Vec<EpochRecord>,
     pub summaries: Vec<NodeSummary>,
+    /// Every node's request books, summed in node order (empty for batch
+    /// fleets); recorded with observability on or off.
+    pub serving: MetricsSnapshot,
     /// Present when the fleet was built with [`FleetBuilder::observe`].
     pub obs: Option<FleetObs>,
 }
@@ -409,14 +412,13 @@ impl FleetReport {
         }
     }
 
-    /// Latency/goodput accounting for request-serving runs. `Some` when
-    /// the fleet ran with observability on and a traffic workload that
-    /// records the [`capsim_node::workload::traffic_keys`] series; `None`
-    /// for batch-kernel fleets. The raw snapshot stays available under
-    /// [`FleetReport::obs`] for export.
+    /// Latency/goodput accounting for request-serving runs, read from
+    /// [`FleetReport::serving`]. `Some` when a traffic workload recorded
+    /// arrivals, whether or not the fleet was observed; `None` for
+    /// batch-kernel fleets.
     pub fn traffic(&self) -> Option<TrafficSummary> {
         use capsim_node::workload::traffic_keys as keys;
-        let m = &self.obs.as_ref()?.metrics;
+        let m = &self.serving;
         let arrivals = m.counter(keys::ARRIVALS);
         if arrivals == 0 {
             return None;
@@ -460,7 +462,7 @@ impl FleetReport {
     /// `arrivals[c] == completed[c] + shed[c] + in_flight[c]`.
     pub fn priority(&self) -> Option<PriorityTraffic> {
         self.traffic()?;
-        let m = &self.obs.as_ref()?.metrics;
+        let m = &self.serving;
         let col = |names: &[&'static str; traffic_keys::CLASSES]| {
             let mut out = [0u64; traffic_keys::CLASSES];
             for (o, name) in out.iter_mut().zip(names) {
@@ -483,20 +485,21 @@ impl FleetReport {
     /// or when no client population ran an AIMD controller.
     pub fn final_rate_multiplier(&self) -> Option<f64> {
         self.traffic()?;
-        self.obs.as_ref()?.metrics.gauge(traffic_keys::RATE_MULTIPLIER)
+        self.serving.gauge(traffic_keys::RATE_MULTIPLIER)
     }
 
     /// Circuit-breaker transitions recorded at the fleet barrier over the
     /// whole run. `None` for batch fleets (mirroring
-    /// [`FleetReport::traffic`]); zero means no breaker ever moved.
+    /// [`FleetReport::traffic`]) and for unobserved ones: this counts
+    /// fleet telemetry, which lives in obs. Zero means no breaker moved.
     pub fn breaker_transitions(&self) -> Option<u64> {
         self.traffic()?;
         Some(self.obs.as_ref()?.metrics.counter("fleet.breaker_transitions"))
     }
 }
 
-/// Per-priority-class fleet accounting, read from the merged obs
-/// snapshot's `traffic.*_p<class>` series. Class 0 is most critical.
+/// Per-priority-class fleet accounting, read from the summed request
+/// books' `traffic.*_p<class>` series. Class 0 is most critical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PriorityTraffic {
     /// Requests offered per class (admitted + shed, retries included).
@@ -523,8 +526,8 @@ pub struct EnergySummary {
     pub avg_node_power_w: f64,
 }
 
-/// Fleet-level request-serving summary, read from the merged obs
-/// snapshot's `traffic.*` series (see
+/// Fleet-level request-serving summary, read from the summed request
+/// books' `traffic.*` series (see
 /// [`capsim_node::workload::traffic_keys`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrafficSummary {
@@ -1115,25 +1118,10 @@ impl Fleet {
             );
         }
 
-        // Reallocate through the fleet's policy. Tail-aware policies (and
-        // only those) get the per-node p99 completion latency alongside
-        // demand; latency-blind backends never touch observability
-        // state, so their plans stay byte-identical with obs on or off.
-        let tails: Vec<f64> = if self.policy.wants_tail() {
-            demand
-                .iter()
-                .map(|&(id, _)| {
-                    self.nodes[id.index()]
-                        .machine
-                        .obs()
-                        .metrics
-                        .hist_quantile(traffic_keys::LATENCY_MS, 0.99)
-                        .unwrap_or(0.0)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // Reallocate through the fleet's policy, with each answering
+        // node's latency tail alongside its demand.
+        let tails: Vec<f64> =
+            demand.iter().map(|&(id, _)| self.nodes[id.index()].machine.tail_ms()).collect();
         let caps = self.dcm.plan_with(self.budget_w, self.policy.as_ref(), &demand, &tails);
         if observe {
             self.dcm.obs.events.record(
@@ -1372,7 +1360,7 @@ impl Fleet {
                         heap.push(Reverse((depth[j], j)));
                     }
                     moved += 1;
-                    self.nodes[i].machine.obs_mut().metrics.inc(traffic_keys::FAILOVER_OUT);
+                    self.nodes[i].machine.serving_mut().inc(traffic_keys::FAILOVER_OUT);
                 } else {
                     if let Some(j) = target {
                         // The workload refused despite advertised room;
@@ -1381,9 +1369,9 @@ impl Fleet {
                         heap.pop();
                     }
                     dropped += 1;
-                    let metrics = &mut self.nodes[i].machine.obs_mut().metrics;
-                    metrics.inc(traffic_keys::SHED);
-                    metrics.inc(
+                    let books = self.nodes[i].machine.serving_mut();
+                    books.inc(traffic_keys::SHED);
+                    books.inc(
                         traffic_keys::SHED_BY_CLASS[req.class as usize % traffic_keys::CLASSES],
                     );
                 }
@@ -1393,7 +1381,7 @@ impl Fleet {
     }
 
     /// Summarize a (possibly manually stepped) fleet: final per-node
-    /// stats, SEL audit, merged observability.
+    /// stats, SEL audit, the summed request books, merged observability.
     pub fn finish(mut self) -> FleetReport {
         let records = std::mem::take(&mut self.records);
         let audit = self.audit_sel;
@@ -1452,11 +1440,16 @@ impl Fleet {
                 sel_violations,
             });
         }
+        let mut serving = MetricsSnapshot::default();
+        for n in &self.nodes {
+            serving.absorb(&n.machine.serving().snapshot());
+        }
         let obs = if observe {
             let mut metrics = self.dcm.obs.metrics.snapshot();
             for n in &self.nodes {
                 metrics.absorb(&n.machine.obs().metrics.snapshot());
             }
+            metrics.absorb(&serving);
             let streams = std::iter::once((None, &self.dcm.obs.events)).chain(
                 self.nodes.iter().map(|n| (Some(n.id.index() as u32), &n.machine.obs().events)),
             );
@@ -1471,6 +1464,7 @@ impl Fleet {
             budget_w: self.budget_w,
             records,
             summaries,
+            serving,
             obs,
         }
     }

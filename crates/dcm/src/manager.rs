@@ -453,10 +453,9 @@ impl Dcm {
     /// policy sees fleet-wide node indices alongside the demand, so
     /// identity-keyed schemes project correctly onto a partial answering
     /// set. `tails` carries the per-node p99 completion latency aligned
-    /// with `demand` — callers pass an empty slice (or zeros) unless the
-    /// policy asked for tails via [`CapPolicy::wants_tail`], so
-    /// latency-blind backends never see (or depend on) observability
-    /// state.
+    /// with `demand`, read from each node's request books; missing
+    /// entries count as 0.0, so callers without tails pass an empty
+    /// slice.
     pub fn plan_with(
         &self,
         budget_w: f64,

@@ -133,6 +133,10 @@ pub struct BmcTelemetry {
     /// Simulated time of the sample in milliseconds (drives the DCMI
     /// correction-time clock and SEL timestamps).
     pub now_ms: f64,
+    /// p99 completion latency of the node's request books, milliseconds
+    /// (0.0 when the node serves no traffic); input to the capping
+    /// policy, not forwarded over DCMI.
+    pub tail_ms: f64,
 }
 
 /// The BMC firmware state.
@@ -560,18 +564,6 @@ impl Bmc {
         };
         let avg = telemetry.window_avg_w;
         let old = self.rung;
-        // Tail latency is read only for policies that ask for it, so the
-        // default backends keep their obs-independent control path: with
-        // `wants_tail` false (or obs disabled) the view carries 0.0 and
-        // the registry is never consulted.
-        let tail_ms = if self.policy.wants_tail() {
-            self.obs
-                .metrics
-                .hist_quantile(crate::workload::traffic_keys::LATENCY_MS, 0.99)
-                .unwrap_or(0.0)
-        } else {
-            0.0
-        };
         let view = NodeCapView {
             cap_w: cap,
             window_avg_w: avg,
@@ -581,7 +573,7 @@ impl Bmc {
             busy_frac: telemetry.busy_frac,
             issue_frac: telemetry.issue_frac,
             now_ms: telemetry.now_ms,
-            tail_ms,
+            tail_ms: telemetry.tail_ms,
         };
         match self.policy.node_decide(&view) {
             CapDecision::Hold => {}

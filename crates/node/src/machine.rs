@@ -40,13 +40,14 @@ use capsim_power::{
     ActivityWindow, EnergyIntegrator, NodePowerModel, PowerMeter, RaplCounters, ThermalModel,
 };
 
-use capsim_obs::EventKind;
+use capsim_obs::{EventKind, Metrics};
 
 use crate::bmc::{Bmc, BmcTelemetry, GuardrailConfig, PowerCap};
 use crate::config::MachineConfig;
 use crate::ladder::{Rung, ThrottleLadder};
 use crate::region::{CodeBlock, Region};
 use crate::trace::{RunTrace, TraceSample};
+use crate::workload::traffic_keys;
 
 /// Bucket edges for the per-tick node-power histogram (watts). Spans the
 /// idle floor (~100 W) through the uncapped Table I band (~160 W).
@@ -268,6 +269,8 @@ pub struct Machine {
     charge_memo: ChargeMemo,
     bmc: Bmc,
     bmc_port: Option<BmcPort>,
+    /// The request books: always on, empty unless a workload serves.
+    serving: Metrics,
     freq_meter: FreqMeter,
     power_model: NodePowerModel,
     meter: PowerMeter,
@@ -339,6 +342,7 @@ impl Machine {
             charge_memo: ChargeMemo::CLEAR,
             bmc: Bmc::new(ladder),
             bmc_port: None,
+            serving: Metrics::enabled(),
             freq_meter: FreqMeter::new(),
             power_model: NodePowerModel::new(cfg.power),
             meter: PowerMeter::new(cfg.meter_window_s),
@@ -862,7 +866,7 @@ impl Machine {
             // A dead manager is not fatal to the node.
             let _ = self.bmc.serve(port);
         }
-        let telemetry = self.faulted_telemetry(BmcTelemetry {
+        let mut telemetry = self.faulted_telemetry(BmcTelemetry {
             window_avg_w: self.meter.window_avg_w(),
             run_avg_w: self.meter.run_avg_w(),
             min_w: self.min_power_w,
@@ -872,7 +876,10 @@ impl Machine {
             busy_frac,
             issue_frac: issue_ratio,
             now_ms: now * 1e-6,
+            tail_ms: 0.0,
         });
+        // Read after any sensor fault, so a stale sample cannot freeze it.
+        telemetry.tail_ms = self.tail_ms();
         if let Some(rung) = self.bmc.control(telemetry) {
             self.apply_rung(rung);
         }
@@ -1123,11 +1130,28 @@ impl Machine {
     }
 
     /// Mutable access to the observability sink, for workloads that
-    /// account their own series (e.g. request latency histograms). Costs
-    /// nothing when observability is disabled — the sink's mutators are
-    /// one-branch no-ops.
+    /// record their own events. Costs nothing when observability is
+    /// disabled — the sink's mutators are one-branch no-ops. Request
+    /// accounting goes to [`Machine::serving_mut`] instead.
     pub fn obs_mut(&mut self) -> &mut capsim_obs::Obs {
         self.bmc.obs_mut()
+    }
+
+    /// This node's request books: the [`traffic_keys`] series, recorded
+    /// whether or not observability is on.
+    pub fn serving(&self) -> &Metrics {
+        &self.serving
+    }
+
+    /// Mutable access to the request books, for serving workloads.
+    pub fn serving_mut(&mut self) -> &mut Metrics {
+        &mut self.serving
+    }
+
+    /// p99 completion latency in the request books, milliseconds (0.0
+    /// before the first completion): the tail every controller reads.
+    pub fn tail_ms(&self) -> f64 {
+        self.serving.hist_quantile(traffic_keys::LATENCY_MS, 0.99).unwrap_or(0.0)
     }
 
     /// The trace, if enabled.

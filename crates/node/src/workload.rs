@@ -17,13 +17,14 @@ use std::sync::Arc;
 use crate::machine::{EpochWorkload, Machine};
 use crate::region::{CodeBlock, Region};
 
-/// Well-known observability keys for request-serving workloads.
+/// Well-known keys of a node's request books.
 ///
 /// Any [`WorkloadFactory`] that models request traffic records into these
-/// series (via [`Machine::obs_mut`](crate::Machine::obs_mut)) so that
-/// fleet-level consumers — `FleetReport::traffic()` in capsim-dcm, the
-/// traffic bench — can read latency and goodput without knowing which
-/// generator produced them.
+/// series (via [`Machine::serving_mut`](crate::Machine::serving_mut)), so
+/// that fleet-level consumers — `FleetReport::traffic()` in capsim-dcm,
+/// the cap policies' tail input, the traffic bench — can read latency and
+/// goodput without knowing which generator produced them, with
+/// observability on or off.
 pub mod traffic_keys {
     use capsim_obs::LogBuckets;
 

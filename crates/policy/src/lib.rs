@@ -64,8 +64,8 @@ pub struct NodeCapView {
     pub now_ms: f64,
     /// Tail (p99) completion latency of the node's request-serving
     /// workload in milliseconds, read from the `traffic.latency_ms`
-    /// histogram. 0.0 when the node serves no traffic, observability is
-    /// off, or the policy did not ask for it ([`CapPolicy::wants_tail`]).
+    /// histogram of the node's request books. 0.0 when the node serves
+    /// no traffic.
     pub tail_ms: f64,
 }
 
@@ -97,9 +97,8 @@ pub struct GroupDemand {
     /// Measured power in watts.
     pub demand_w: f64,
     /// Tail (p99) completion latency in milliseconds, gathered serially
-    /// at the barrier from the node's `traffic.latency_ms` histogram.
-    /// 0.0 for batch nodes or policies that never asked
-    /// ([`CapPolicy::wants_tail`]).
+    /// at the barrier from the `traffic.latency_ms` histogram of the
+    /// node's request books. 0.0 for batch nodes.
     pub tail_ms: f64,
 }
 
@@ -127,14 +126,6 @@ pub trait CapPolicy: std::fmt::Debug + Send + Sync {
     fn group_allocate(&self, budget_w: f64, demand: &[GroupDemand], floor_w: f64) -> Vec<f64> {
         let demand_w: Vec<f64> = demand.iter().map(|d| d.demand_w).collect();
         allocate(&AllocationPolicy::ProportionalToDemand, budget_w, &demand_w, floor_w)
-    }
-
-    /// Does this policy read tail latency? When `false` (the default)
-    /// neither the BMC nor the fleet barrier touches the observability
-    /// registry to fill `tail_ms` — the existing backends keep their
-    /// obs-independent fast paths bit-for-bit.
-    fn wants_tail(&self) -> bool {
-        false
     }
 
     /// Would a steady under-cap sample at rung 0 leave this policy inert?
@@ -297,7 +288,7 @@ pub enum CapPolicySpec {
     /// A frozen tabular-RL policy (greedy over the carried Q-table).
     Rl(QTable),
     /// SLO-aware capping: spends the group budget where the latency tail
-    /// is longest (requires observability — see [`SloCapPolicy`]).
+    /// is longest (see [`SloCapPolicy`]).
     Slo(SloConfig),
 }
 

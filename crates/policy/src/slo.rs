@@ -14,9 +14,10 @@
 //! Determinism: both halves are pure functions of the view/demand slices.
 //! The group half runs serially at the root barrier over the full
 //! answering set (like every group policy), so serial ≡ parallel ≡ any
-//! shard count holds by construction. The policy *does* require
-//! observability: with obs off every `tail_ms` is 0.0 and the backend
-//! degrades to the ladder walk over proportional-to-demand allocation.
+//! shard count holds by construction. Tails come from each node's
+//! request books, so the backend acts the same with obs on or off; with
+//! no traffic every `tail_ms` is 0.0 and the backend degrades to the
+//! ladder walk over proportional-to-demand allocation.
 
 use crate::group::{allocate, AllocationPolicy};
 use crate::{CapDecision, CapPolicy, GroupDemand, NodeCapView};
@@ -108,10 +109,6 @@ impl CapPolicy for SloCapPolicy {
             .map(|d| d.demand_w * (1.0 + self.cfg.boost * self.pressure(d.tail_ms)))
             .collect();
         allocate(&AllocationPolicy::ProportionalToDemand, budget_w, &weighted, floor_w)
-    }
-
-    fn wants_tail(&self) -> bool {
-        true
     }
 
     fn clone_box(&self) -> Box<dyn CapPolicy> {

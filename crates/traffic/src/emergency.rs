@@ -87,10 +87,9 @@ impl EmergencyConfig {
     /// The graceful-degradation twin of [`EmergencyConfig::retry_storm`]:
     /// the same flash crowd, oversubscribed budget, and fault plan, but
     /// clients run AIMD backpressure and the admission gate browns out
-    /// low-priority work under pressure (tail trigger at the SLO bound —
-    /// the scenario always observes, per the tail-aware carve-out). This
-    /// is the configuration that must *converge* where the retry-only
-    /// storm collapses.
+    /// low-priority work under pressure (tail trigger at the SLO bound).
+    /// This is the configuration that must *converge* where the
+    /// retry-only storm collapses.
     pub fn backpressure_storm(nodes: usize, epochs: u32, seed: u64) -> EmergencyConfig {
         let mut cfg = EmergencyConfig::retry_storm(nodes, epochs, seed);
         let clients = ClientSpec::default().aimd(AimdSpec::default());

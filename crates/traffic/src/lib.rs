@@ -9,7 +9,8 @@
 //! - [`TrafficSpec`] / [`TrafficWorkload`]: per-node bounded request
 //!   queues that map service demand onto the `EpochWorkload`
 //!   machine-stepping API and record latency/goodput/SLO series into
-//!   capsim-obs (log-spaced latency buckets, completed-vs-shed counters).
+//!   each node's request books (log-spaced latency buckets,
+//!   completed-vs-shed counters), with observability on or off.
 //! - [`EmergencyConfig`]: the power-emergency experiment — an
 //!   oversubscribed root budget plus a chaos fault plan while the fleet
 //!   keeps serving a diurnal + flash-crowd trace; policy backends are

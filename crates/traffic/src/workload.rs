@@ -10,7 +10,8 @@
 //! queueing + service delay, measured on the machine clock and recorded
 //! into the log-spaced `traffic.latency_ms` histogram along with the
 //! completed/shed/SLO counters (see
-//! [`capsim_node::workload::traffic_keys`]).
+//! [`capsim_node::workload::traffic_keys`]) in the node's request books
+//! ([`Machine::serving_mut`]), which record with observability on or off.
 //!
 //! Because service demand is charged through `Machine`, a node throttled
 //! to a deep rung serves each quantum more slowly on the *simulated*
@@ -328,8 +329,7 @@ impl ClientSpec {
 /// Priority-tiered brownout: under pressure the admission gate sheds the
 /// lowest-priority class first and restores classes with hysteresis.
 /// Pressure is queue depth against the bound and, optionally, the node's
-/// own observed p99 completion latency (which requires observability —
-/// the same carve-out the tail-aware `Slo` policy documents).
+/// own p99 completion latency, read from its request books.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BrownoutSpec {
     /// Queue-depth fraction of the bound at or above which the next
@@ -339,8 +339,7 @@ pub struct BrownoutSpec {
     /// well below `high_watermark`; the gap is the hysteresis band.
     pub low_watermark: f64,
     /// p99 completion-latency threshold, milliseconds, that also counts
-    /// as pressure. `0.0` disables the tail trigger, keeping the default
-    /// path free of any observability dependence.
+    /// as pressure. `0.0` disables the tail trigger.
     pub p99_ms: f64,
     /// Evaluation period on the node's simulated clock, seconds.
     pub control_period_s: f64,
@@ -454,7 +453,14 @@ impl TrafficSpec {
     }
 
     /// Enable priority-tiered brownout at the admission gate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec.control_period_s` is not positive and finite; such
+    /// a gate would never advance past its first evaluation.
     pub fn brownout(mut self, spec: BrownoutSpec) -> TrafficSpec {
+        let p = spec.control_period_s;
+        assert!(p > 0.0 && p.is_finite(), "invalid BrownoutSpec: control_period_s = {p}");
         self.brownout = Some(spec);
         self
     }
@@ -554,10 +560,10 @@ impl TrafficWorkload {
         if spec.clients.is_some_and(|c| c.aimd.is_some()) {
             // Publish the starting multiplier so the gauge is defined
             // even for runs the controller never has to touch.
-            m.obs_mut().metrics.set_gauge(keys::RATE_MULTIPLIER, 1.0);
+            m.serving_mut().set_gauge(keys::RATE_MULTIPLIER, 1.0);
         }
         if spec.brownout.is_some() {
-            m.obs_mut().metrics.set_gauge(keys::BROWNOUT_MAX_CLASS, (keys::CLASSES - 1) as f64);
+            m.serving_mut().set_gauge(keys::BROWNOUT_MAX_CLASS, (keys::CLASSES - 1) as f64);
         }
         TrafficWorkload {
             arrivals: ArrivalProcess::new(curves, seed),
@@ -629,9 +635,10 @@ impl TrafficWorkload {
                 if next != a.multiplier {
                     a.multiplier = next;
                     self.arrivals.set_rate_multiplier(next);
-                    let obs = m.obs_mut();
-                    obs.metrics.set_gauge(keys::RATE_MULTIPLIER, next);
-                    obs.events.record(now, EventKind::RateAdjusted { multiplier: next, cause });
+                    m.serving_mut().set_gauge(keys::RATE_MULTIPLIER, next);
+                    m.obs_mut()
+                        .events
+                        .record(now, EventKind::RateAdjusted { multiplier: next, cause });
                 }
             }
         }
@@ -641,14 +648,9 @@ impl TrafficWorkload {
                 let depth = self.queue.len() as f64;
                 let high = b.spec.high_watermark * self.bound as f64;
                 let low = b.spec.low_watermark * self.bound as f64;
-                // Reading the node's own latency tail requires obs; with
-                // obs off (or p99_ms == 0) the trigger is inert and the
+                // With p99_ms == 0 the tail trigger is inert and the
                 // controller is queue-depth only.
-                let tail_hot = b.spec.p99_ms > 0.0
-                    && m.obs()
-                        .metrics
-                        .hist_quantile(keys::LATENCY_MS, 0.99)
-                        .is_some_and(|p99| p99 > b.spec.p99_ms);
+                let tail_hot = b.spec.p99_ms > 0.0 && m.tail_ms() > b.spec.p99_ms;
                 let cur = b.max_class;
                 let next = if (depth >= high || tail_hot) && cur > 0 {
                     cur - 1
@@ -660,9 +662,8 @@ impl TrafficWorkload {
                 if next != cur {
                     b.max_class = next;
                     let cause = if next < cur { "pressure" } else { "recovery" };
-                    let obs = m.obs_mut();
-                    obs.metrics.set_gauge(keys::BROWNOUT_MAX_CLASS, next as f64);
-                    obs.events.record(
+                    m.serving_mut().set_gauge(keys::BROWNOUT_MAX_CLASS, next as f64);
+                    m.obs_mut().events.record(
                         now,
                         EventKind::BrownoutShift {
                             from_class: cur as u32,
@@ -681,20 +682,18 @@ impl TrafficWorkload {
     /// in_flight` exact.
     fn offer(&mut self, m: &mut Machine, req: Request) {
         let class = req.class as usize % keys::CLASSES;
-        {
-            let metrics = &mut m.obs_mut().metrics;
-            metrics.inc(keys::ARRIVALS);
-            metrics.inc(keys::ARRIVALS_BY_CLASS[class]);
-        }
+        let books = m.serving_mut();
+        books.inc(keys::ARRIVALS);
+        books.inc(keys::ARRIVALS_BY_CLASS[class]);
         // Brownout gate: a browned-out class is shed at the door — never
         // queued, never deferred to failover. It still counted as an
         // arrival above, so per-class conservation stays exact.
         if let Some(b) = &self.brownout {
             if req.class > b.max_class {
-                let metrics = &mut m.obs_mut().metrics;
-                metrics.inc(keys::SHED);
-                metrics.inc(keys::SHED_BY_CLASS[class]);
-                metrics.inc(keys::BROWNOUT_SHED);
+                let books = m.serving_mut();
+                books.inc(keys::SHED);
+                books.inc(keys::SHED_BY_CLASS[class]);
+                books.inc(keys::BROWNOUT_SHED);
                 return;
             }
         }
@@ -702,7 +701,7 @@ impl TrafficWorkload {
             self.queue.push_back(req);
             if self.queue.len() > self.queue_peak {
                 self.queue_peak = self.queue.len();
-                m.obs_mut().metrics.set_gauge(keys::QUEUE_PEAK, self.queue_peak as f64);
+                m.serving_mut().set_gauge(keys::QUEUE_PEAK, self.queue_peak as f64);
             }
         } else if self.failover {
             self.shed_pending.push(FailoverRequest {
@@ -712,9 +711,9 @@ impl TrafficWorkload {
                 class: req.class,
             });
         } else {
-            let metrics = &mut m.obs_mut().metrics;
-            metrics.inc(keys::SHED);
-            metrics.inc(keys::SHED_BY_CLASS[class]);
+            let books = m.serving_mut();
+            books.inc(keys::SHED);
+            books.inc(keys::SHED_BY_CLASS[class]);
         }
     }
 
@@ -749,7 +748,7 @@ impl TrafficWorkload {
                 );
             } else {
                 let e = self.retries.pop().expect("retry_due implies a head entry");
-                m.obs_mut().metrics.inc(keys::RETRIES);
+                m.serving_mut().inc(keys::RETRIES);
                 self.offer(
                     m,
                     Request {
@@ -777,7 +776,7 @@ impl TrafficWorkload {
         if latency_ms <= c.timeout_ms {
             return;
         }
-        m.obs_mut().metrics.inc(keys::CLIENT_TIMEOUTS);
+        m.serving_mut().inc(keys::CLIENT_TIMEOUTS);
         if let Some(a) = &mut self.aimd {
             // Every timeout feeds the AIMD window, including ones past
             // the retry budget — backpressure reacts to pain, not to
@@ -848,12 +847,12 @@ impl EpochWorkload for TrafficWorkload {
             let done = *req;
             let latency_ms = (m.now_s() - done.arrival_s) * 1e3;
             let slo_miss = latency_ms > self.slo_ms;
-            let metrics = &mut m.obs_mut().metrics;
-            metrics.inc(keys::COMPLETED);
-            metrics.inc(keys::COMPLETED_BY_CLASS[done.class as usize % keys::CLASSES]);
-            metrics.observe_log(keys::LATENCY_MS, keys::LATENCY_BUCKETS, latency_ms);
+            let books = m.serving_mut();
+            books.inc(keys::COMPLETED);
+            books.inc(keys::COMPLETED_BY_CLASS[done.class as usize % keys::CLASSES]);
+            books.observe_log(keys::LATENCY_MS, keys::LATENCY_BUCKETS, latency_ms);
             if slo_miss {
-                metrics.inc(keys::SLO_VIOLATIONS);
+                books.inc(keys::SLO_VIOLATIONS);
             }
             self.queue.pop_front();
             self.client_observe(m, latency_ms, done);
@@ -890,26 +889,26 @@ impl EpochWorkload for TrafficWorkload {
         });
         if self.queue.len() > self.queue_peak {
             self.queue_peak = self.queue.len();
-            m.obs_mut().metrics.set_gauge(keys::QUEUE_PEAK, self.queue_peak as f64);
+            m.serving_mut().set_gauge(keys::QUEUE_PEAK, self.queue_peak as f64);
         }
-        m.obs_mut().metrics.inc(keys::FAILOVER_IN);
+        m.serving_mut().inc(keys::FAILOVER_IN);
         true
     }
 
     fn finish(&mut self, m: &mut Machine) {
         // Overflow the barrier never drained (standalone runs, or sheds
         // after the last barrier) is shed after all.
-        let metrics = &mut m.obs_mut().metrics;
+        let books = m.serving_mut();
         for req in self.shed_pending.drain(..) {
-            metrics.inc(keys::SHED);
-            metrics.inc(keys::SHED_BY_CLASS[req.class as usize % keys::CLASSES]);
+            books.inc(keys::SHED);
+            books.inc(keys::SHED_BY_CLASS[req.class as usize % keys::CLASSES]);
         }
         // Conservation remainder: everything admitted but not yet
         // completed. Scheduled retries are *not* in flight — they have
         // not re-arrived yet, so they are not arrivals either.
-        metrics.add(keys::IN_FLIGHT, self.queue.len() as u64);
+        books.add(keys::IN_FLIGHT, self.queue.len() as u64);
         for req in &self.queue {
-            metrics.inc(keys::IN_FLIGHT_BY_CLASS[req.class as usize % keys::CLASSES]);
+            books.inc(keys::IN_FLIGHT_BY_CLASS[req.class as usize % keys::CLASSES]);
         }
     }
 }
@@ -925,13 +924,12 @@ mod tests {
         epochs: u32,
     ) -> (capsim_obs::MetricsSnapshot, Box<dyn EpochWorkload>) {
         let mut m = MachineBuilder::tiny().seed(seed).build();
-        m.enable_obs(256);
         let mut w = spec.workload().build_for(&mut m, 0, seed);
         for _ in 0..epochs {
             m.step(5e-4, w.as_mut());
         }
         w.finish(&mut m);
-        (m.obs().metrics.snapshot(), w)
+        (m.serving().snapshot(), w)
     }
 
     fn run_spec(spec: TrafficSpec, seed: u64, epochs: u32) -> capsim_obs::MetricsSnapshot {
@@ -1034,12 +1032,11 @@ mod tests {
     fn failover_mode_defers_sheds_to_the_drain() {
         let spec = TrafficSpec::constant(2_000_000.0).queue_bound(4).failover(true);
         let mut m = MachineBuilder::tiny().seed(5).build();
-        m.enable_obs(256);
         let mut w = spec.workload().build_for(&mut m, 0, 5);
         for _ in 0..10 {
             m.step(5e-4, w.as_mut());
         }
-        assert_eq!(m.obs().metrics.counter(keys::SHED), 0, "failover defers local sheds");
+        assert_eq!(m.serving().counter(keys::SHED), 0, "failover defers local sheds");
         let room = w.queue_room().expect("failover servers report queue room");
         assert_eq!(room.depth + room.free, 4, "room accounts for the whole bound");
         let drained = w.drain_shed();
@@ -1058,7 +1055,7 @@ mod tests {
         // counting as local arrivals, so the books balance once they are
         // added back — the fleet-wide shape of exact conservation.
         w.finish(&mut m);
-        let s = m.obs().metrics.snapshot();
+        let s = m.serving().snapshot();
         assert_eq!(s.counter(keys::SHED), 0, "drained exports are not shed");
         assert_eq!(s.counter(keys::FAILOVER_IN), accepted);
         assert_eq!(
@@ -1118,6 +1115,13 @@ mod tests {
     fn closed_loop_panics_on_invalid_spec() {
         let _ = TrafficSpec::constant(1000.0)
             .closed_loop(ClientSpec { timeout_ms: f64::NAN, ..ClientSpec::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid BrownoutSpec: control_period_s = 0")]
+    fn brownout_panics_on_a_period_that_never_advances() {
+        let _ = TrafficSpec::constant(1000.0)
+            .brownout(BrownoutSpec { control_period_s: 0.0, ..BrownoutSpec::default() });
     }
 
     #[test]

@@ -10,14 +10,8 @@ use capsim::traffic::EmergencyConfig;
 fn main() {
     println!("== a datacenter-mix fleet serving 30k rps/node (hot nodes 4x)");
     let spec = TrafficSpec::constant(30_000.0).datacenter_mix(true);
-    let report = FleetBuilder::new()
-        .nodes(9)
-        .epochs(4)
-        .seed(11)
-        .observe(true)
-        .workload(spec.workload())
-        .build()
-        .run();
+    let report =
+        FleetBuilder::new().nodes(9).epochs(4).seed(11).workload(spec.workload()).build().run();
     let t = report.traffic().expect("traffic series");
     let e = report.energy();
     println!(
@@ -37,7 +31,6 @@ fn main() {
             .epochs(4)
             .seed(11)
             .budget_w(budget * 9.0)
-            .observe(true)
             .workload(TrafficSpec::constant(30_000.0).datacenter_mix(true).workload())
             .build()
             .run();

@@ -195,12 +195,10 @@ fn quarantined_nodes_receive_zero_failover_requests() {
     for _ in 0..10 {
         fleet.step_epoch();
     }
-    let dead_in = fleet.machine(1).obs().metrics.counter(keys::FAILOVER_IN);
+    let dead_in = fleet.machine(1).serving().counter(keys::FAILOVER_IN);
     assert_eq!(dead_in, 0, "a quarantined node must never receive failover work");
-    let live_in: u64 = [0usize, 2, 3]
-        .iter()
-        .map(|&i| fleet.machine(i).obs().metrics.counter(keys::FAILOVER_IN))
-        .sum();
+    let live_in: u64 =
+        [0usize, 2, 3].iter().map(|&i| fleet.machine(i).serving().counter(keys::FAILOVER_IN)).sum();
     assert!(live_in > 0, "healthy nodes must still absorb the overflow");
     let report = fleet.finish();
     let health = report.summaries[1].health;

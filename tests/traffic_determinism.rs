@@ -9,14 +9,15 @@
 //!   file (`CAPSIM_BLESS=1 cargo test --test traffic_determinism` to
 //!   regenerate),
 //! - `FleetReport`'s typed traffic/energy accessors agree with the raw
-//!   obs snapshot they summarize.
+//!   obs snapshot they summarize,
+//! - a serving fleet renders the same report with obs on and off.
 
 use std::path::PathBuf;
 
 use capsim::chaos::{run_scenario, ChaosScenario, FaultPlan, InvariantConfig};
 use capsim::dcm::fleet::{FleetBuilder, FleetReport};
-use capsim::policy::CapPolicySpec;
-use capsim::traffic::{ArrivalCurve, ArrivalProcess, ClientSpec, TrafficSpec};
+use capsim::policy::{CapPolicySpec, SloConfig};
+use capsim::traffic::{ArrivalCurve, ArrivalProcess, ClientSpec, EmergencyConfig, TrafficSpec};
 use proptest::prelude::*;
 
 proptest! {
@@ -328,4 +329,38 @@ fn typed_accessors_agree_with_the_raw_snapshot() {
     assert!(batch.priority().is_none());
     assert!(batch.final_rate_multiplier().is_none());
     assert!(batch.breaker_transitions().is_none());
+}
+
+/// A power emergency built through `FleetBuilder` (so without its fault
+/// windows), observed or not.
+fn emergency_report(cfg: &EmergencyConfig, observe: bool) -> FleetReport {
+    FleetBuilder::new()
+        .nodes(cfg.nodes)
+        .epochs(cfg.epochs)
+        .epoch_s(cfg.epoch_s)
+        .seed(cfg.seed)
+        .budget_w(cfg.budget_w_per_node * cfg.nodes as f64)
+        .cap_policy(cfg.policy.build())
+        .observe(observe)
+        .workload(cfg.traffic.clone().workload())
+        .build()
+        .run()
+}
+
+/// The SLO backend reads every node's tail, in the BMC and at the
+/// barrier; the backpressure storm's brownout gate reads its own. All of
+/// them read the request books, so turning obs on changes nothing but
+/// the export.
+#[test]
+fn serving_reports_do_not_depend_on_observability() {
+    let slo = CapPolicySpec::Slo(SloConfig::default());
+    for cfg in [
+        EmergencyConfig::headline(6, 12, 7).with_policy(slo),
+        EmergencyConfig::backpressure_storm(6, 12, 7),
+    ] {
+        let on = emergency_report(&cfg, true);
+        let off = emergency_report(&cfg, false);
+        assert!(off.traffic().is_some(), "an unobserved fleet keeps its request books");
+        assert_eq!(FleetReport { obs: None, ..on }, off, "obs on and off diverged");
+    }
 }
