@@ -21,11 +21,16 @@ cargo clippy --workspace --benches --tests -q -- -D warnings
 echo "== cargo test (workspace)"
 cargo test --workspace -q
 
+echo "== determinism suites again with more workers than cores (CAPSIM_THREADS=4):"
+echo "   goldens and serial == parallel must hold on an oversubscribed pool"
+CAPSIM_THREADS=4 cargo test --release -q --test fleet_determinism --test traffic_determinism \
+  --test overload_robustness --test chaos_scenario
+
 echo "== table2 smoke (CAPSIM_SCALE=test)"
 CAPSIM_SCALE=test cargo run -q --release -p capsim-bench --bin table2 >/dev/null
 
 echo "== fleet scaling smoke (CAPSIM_SCALE=test: lossy busy + datacenter mixes,"
-echo "   each serial and parallel with 2 virtual threads x 4 shards, bit-compared)"
+echo "   each serial and parallel with 2 virtual threads, bit-compared)"
 CAPSIM_SCALE=test cargo run -q --release -p capsim-bench --bin fleet /tmp/BENCH_fleet_ci.json >/dev/null
 
 echo "== benchmark package tests (its own workspace under benchmark/)"

@@ -12,7 +12,7 @@
 //!   `ticks_per_sec` — all positive numbers,
 //! * `BENCH_fleet*`: `nodes`, `speedup` positive; `deterministic` must be
 //!   `true`; `curve` must be a non-empty array of scaling points, each
-//!   with positive `nodes`, `threads`, `shards` and
+//!   with positive `nodes`, `threads` and
 //!   `node_epochs_per_sec` and a bool `parallel`; serial points
 //!   (`parallel: false`) also need positive `heap_bytes_per_node` and
 //!   `heap_bytes_per_node_after_run`,
@@ -27,7 +27,7 @@
 //!   per-policy points, each with a non-empty `policy` string and
 //!   positive `energy_j` and `avg_freq_mhz`,
 //! * `BENCH_traffic*`: `deterministic` true (emergency replay identical
-//!   across thread/shard twins), `invariant_violations` exactly 0,
+//!   across thread twins), `invariant_violations` exactly 0,
 //!   positive `throughput_rps`, `p99_ms` and `energy_j`; `ladder` a
 //!   non-empty array of cap rungs with positive `budget_w_per_node` and
 //!   `p99_ms`; `frontier` a non-empty array of per-policy points — one
@@ -247,9 +247,7 @@ fn check_file(path: &str, errors: &mut Vec<String>) {
                             &[]
                         }
                     };
-                    for &key in
-                        ["nodes", "threads", "shards", "node_epochs_per_sec"].iter().chain(heap)
-                    {
+                    for &key in ["nodes", "threads", "node_epochs_per_sec"].iter().chain(heap) {
                         match point.get(key) {
                             Some(Val::Num(v)) if *v > 0.0 => {}
                             Some(other) => errors.push(format!(
@@ -618,10 +616,10 @@ mod tests {
         std::fs::write(
             &fleet,
             "{\"nodes\": 10000, \"speedup\": 1.0, \"deterministic\": true, \
-             \"curve\": [{\"nodes\": 256, \"threads\": 1, \"shards\": 1, \
+             \"curve\": [{\"nodes\": 256, \"threads\": 1, \
              \"parallel\": false, \"node_epochs_per_sec\": 250.0, \
              \"heap_bytes_per_node\": 11000.5, \"heap_bytes_per_node_after_run\": 13000.0}, \
-             {\"nodes\": 256, \"threads\": 2, \"shards\": 4, \"parallel\": true, \
+             {\"nodes\": 256, \"threads\": 2, \"parallel\": true, \
              \"node_epochs_per_sec\": 260.0}]}",
         )
         .unwrap();
@@ -631,14 +629,14 @@ mod tests {
         std::fs::write(
             &fleet,
             "{\"nodes\": 10000, \"speedup\": 1.0, \"deterministic\": true, \
-             \"curve\": [{\"nodes\": 256, \"threads\": 1, \"shards\": 0, \
+             \"curve\": [{\"nodes\": 256, \"threads\": 0, \
              \"parallel\": false, \"node_epochs_per_sec\": 250.0, \
              \"heap_bytes_per_node\": 0}]}",
         )
         .unwrap();
         let mut errors = Vec::new();
         check_file(fleet.to_str().unwrap(), &mut errors);
-        assert!(errors.iter().any(|e| e.contains("curve[0].shards")), "{errors:?}");
+        assert!(errors.iter().any(|e| e.contains("curve[0].threads")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("curve[0].heap_bytes_per_node ")), "{errors:?}");
         assert!(
             errors
@@ -649,7 +647,7 @@ mod tests {
         std::fs::write(
             &fleet,
             "{\"nodes\": 10000, \"speedup\": 1.0, \"deterministic\": true, \
-             \"curve\": [{\"nodes\": 256, \"threads\": 1, \"shards\": 1, \
+             \"curve\": [{\"nodes\": 256, \"threads\": 1, \
              \"node_epochs_per_sec\": 250.0}]}",
         )
         .unwrap();

@@ -1,6 +1,6 @@
 //! Fleet-scaling benchmark: measures node-epochs-per-second across fleet
-//! sizes, worker counts and shard topologies, checks every configuration
-//! lands on byte-identical results, and writes the scaling record to
+//! sizes and worker counts, checks every configuration lands on
+//! byte-identical results, and writes the scaling record to
 //! `BENCH_fleet.json`.
 //!
 //! Usage: `cargo run -p capsim-bench --bin fleet --release [-- out.json]`
@@ -10,14 +10,14 @@
 //! honest sweep needs one process per point. Each child runs a single
 //! configuration and prints its rate plus a fingerprint of the rendered
 //! report; the parent asserts all fingerprints of a configuration agree
-//! (the determinism contract: serial ≡ parallel ≡ any shard count).
+//! (the determinism contract: serial ≡ parallel at any worker count).
 //!
 //! `CAPSIM_SCALE=test` shrinks the run to the CI smoke: a lossy 32-node
 //! busy fleet plus a 64-node datacenter-mix fleet, each serial and
-//! parallel (2 virtual threads, 4 shards). The default is the full
-//! scaling record: a 256-node busy baseline (like-for-like with the
-//! trajectory before the hierarchical engine), 1k/10k-node
-//! datacenter-mix serial runs, and thread and shard sweeps at 1k nodes.
+//! parallel (2 virtual threads). The default is the full scaling record:
+//! a 256-node busy baseline (like-for-like with the trajectory before the
+//! parallel engine), 1k/10k-node datacenter-mix serial runs, a thread
+//! sweep at 1k nodes and a parallel 10k-node headline.
 //!
 //! Speedup is whatever the host delivers: on a single-core runner every
 //! thread count ties, and the JSON records the measured numbers so
@@ -98,8 +98,6 @@ struct Point {
     epochs: u32,
     /// Worker count the child process ran with (`CAPSIM_THREADS`).
     threads: usize,
-    /// Explicit shard count, or 0 for the automatic topology.
-    shards: usize,
     parallel: bool,
     datacenter: bool,
     lossy: bool,
@@ -108,12 +106,11 @@ struct Point {
 impl Point {
     fn label(&self) -> String {
         format!(
-            "{} nodes x {} epochs, {} load, threads={}, shards={}, {}",
+            "{} nodes x {} epochs, {} load, threads={}, {}",
             self.nodes,
             self.epochs,
             if self.datacenter { "datacenter" } else { "busy" },
             self.threads,
-            if self.shards == 0 { "auto".into() } else { self.shards.to_string() },
             if self.parallel { "parallel" } else { "serial" },
         )
     }
@@ -124,8 +121,6 @@ struct Measured {
     point: Point,
     /// Node-epochs per second, build included.
     rate: f64,
-    /// Resolved shard count.
-    shards: usize,
     /// Fingerprint of the rendered report.
     fingerprint: u64,
     /// Live heap per node after build, and after the last epoch.
@@ -144,14 +139,10 @@ fn measure(p: &Point) -> Measured {
     if p.lossy {
         b = b.faults(FaultSpec::lossy(0.05));
     }
-    if p.shards > 0 {
-        b = b.shards(p.shards);
-    }
     let heap0 = live_heap_bytes();
     let start = Instant::now();
     let mut fleet = b.build();
     let heap_built = live_heap_bytes() - heap0;
-    let shards = fleet.shards();
     while fleet.epochs_run() < fleet.epochs() {
         fleet.step_epoch();
     }
@@ -164,7 +155,6 @@ fn measure(p: &Point) -> Measured {
     Measured {
         point: p.clone(),
         rate: (p.nodes as u32 * p.epochs) as f64 / wall,
-        shards,
         fingerprint: h.finish(),
         heap_built: per_node(heap_built),
         heap_ran: per_node(heap_ran),
@@ -182,7 +172,6 @@ fn measure_in_child(p: &Point) -> Measured {
             &p.nodes.to_string(),
             &p.epochs.to_string(),
             &p.threads.to_string(),
-            &p.shards.to_string(),
             &u8::from(p.parallel).to_string(),
             &u8::from(p.datacenter).to_string(),
             &u8::from(p.lossy).to_string(),
@@ -201,29 +190,27 @@ fn measure_in_child(p: &Point) -> Measured {
     Measured {
         point: p.clone(),
         rate: field("rate").parse().expect("rate number"),
-        shards: field("shards").parse().expect("shard count"),
         fingerprint: field("fingerprint").parse().expect("fingerprint number"),
         heap_built: field("heap after build").parse().expect("heap bytes"),
         heap_ran: field("heap after run").parse().expect("heap bytes"),
     }
 }
 
-/// Child entry: argv = --measure nodes epochs threads shards parallel
-/// datacenter lossy. Prints `<rate> <shards> <fingerprint> <heap bytes
-/// per node after build> <after run>`.
+/// Child entry: argv = --measure nodes epochs threads parallel datacenter
+/// lossy. Prints `<rate> <fingerprint> <heap bytes per node after build>
+/// <after run>`.
 fn run_child(args: &[String]) {
     let num = |i: usize| args[i].parse::<usize>().expect("numeric arg");
     let p = Point {
         nodes: num(0),
         epochs: num(1) as u32,
         threads: num(2),
-        shards: num(3),
-        parallel: num(4) != 0,
-        datacenter: num(5) != 0,
-        lossy: num(6) != 0,
+        parallel: num(3) != 0,
+        datacenter: num(4) != 0,
+        lossy: num(5) != 0,
     };
     let m = measure(&p);
-    println!("{} {} {} {} {}", m.rate, m.shards, m.fingerprint, m.heap_built, m.heap_ran);
+    println!("{} {} {} {}", m.rate, m.fingerprint, m.heap_built, m.heap_ran);
 }
 
 fn main() {
@@ -236,41 +223,37 @@ fn main() {
     let test_scale = std::env::var("CAPSIM_SCALE").as_deref() == Ok("test");
     let scale = if test_scale { "test" } else { "full" };
 
-    let p = |nodes: usize,
-             epochs: u32,
-             threads: usize,
-             shards: usize,
-             parallel: bool,
-             datacenter: bool,
-             lossy: bool| {
-        Point { nodes, epochs, threads, shards, parallel, datacenter, lossy }
+    let p = |nodes, epochs, threads, parallel, datacenter, lossy| Point {
+        nodes,
+        epochs,
+        threads,
+        parallel,
+        datacenter,
+        lossy,
     };
     // First entry is the like-for-like baseline the speedup is quoted
     // against; the headline entry is the largest datacenter-mix run.
     let points: Vec<Point> = if test_scale {
         vec![
-            p(32, 4, 1, 1, false, false, true),
-            p(32, 4, 2, 4, true, false, true),
-            p(64, 4, 1, 1, false, true, true),
-            p(64, 4, 2, 4, true, true, true),
+            p(32, 4, 1, false, false, true),
+            p(32, 4, 2, true, false, true),
+            p(64, 4, 1, false, true, true),
+            p(64, 4, 2, true, true, true),
         ]
     } else {
         vec![
             // Busy-mix baseline, like-for-like with the pre-hierarchy
             // trajectory (256 clean nodes, serial).
-            p(256, 4, 1, 1, false, false, false),
+            p(256, 4, 1, false, false, false),
             // Datacenter-mix scaling curve, serial.
-            p(1000, 4, 1, 1, false, true, false),
-            p(10000, 4, 1, 1, false, true, false),
-            // CAPSIM_THREADS sweep at 1k nodes (automatic shards).
-            p(1000, 4, 1, 0, true, true, false),
-            p(1000, 4, 2, 0, true, true, false),
-            p(1000, 4, 4, 0, true, true, false),
-            // Shard sweep at 1k nodes, 2 workers.
-            p(1000, 4, 2, 4, true, true, false),
-            p(1000, 4, 2, 32, true, true, false),
+            p(1000, 4, 1, false, true, false),
+            p(10000, 4, 1, false, true, false),
+            // CAPSIM_THREADS sweep at 1k nodes.
+            p(1000, 4, 1, true, true, false),
+            p(1000, 4, 2, true, true, false),
+            p(1000, 4, 4, true, true, false),
             // Headline configuration, parallel.
-            p(10000, 4, 2, 0, true, true, false),
+            p(10000, 4, 2, true, true, false),
         ]
     };
 
@@ -285,7 +268,7 @@ fn main() {
 
     // Determinism contract: every run of the same simulation
     // configuration (nodes, epochs, load, faults) must land on the same
-    // rendered report, whatever the thread count or shard topology.
+    // rendered report, serial or parallel at any thread count.
     let mut deterministic = true;
     for m in &measured {
         let twin = measured
@@ -302,7 +285,7 @@ fn main() {
             eprintln!("  DETERMINISM BROKEN: {} vs {}", m.point.label(), twin.point.label());
         }
     }
-    assert!(deterministic, "shard/thread topology changed simulation results");
+    assert!(deterministic, "the thread count changed simulation results");
 
     let baseline = &measured[0];
     let headline = measured
@@ -322,7 +305,7 @@ fn main() {
     for (i, m) in measured.iter().enumerate() {
         let sep = if i + 1 == measured.len() { "" } else { "," };
         // Heap per node is recorded on serial rows, the series to compare
-        // across commits; parallel rows add shard and worker bookkeeping.
+        // across commits; parallel rows add worker bookkeeping.
         let heap = if m.point.parallel {
             String::new()
         } else {
@@ -332,11 +315,10 @@ fn main() {
             )
         };
         curve.push_str(&format!(
-            "    {{\"nodes\": {}, \"threads\": {}, \"shards\": {}, \"parallel\": {}, \
+            "    {{\"nodes\": {}, \"threads\": {}, \"parallel\": {}, \
              \"load\": \"{}\", \"node_epochs_per_sec\": {:.1}{heap}}}{}\n",
             m.point.nodes,
             m.point.threads,
-            m.shards,
             m.point.parallel,
             if m.point.datacenter { "datacenter" } else { "busy" },
             m.rate,

@@ -9,10 +9,10 @@
 //! * **the headline emergency** — a datacenter-mix fleet (10k nodes at
 //!   paper scale) serves a diurnal + flash-crowd trace through an
 //!   oversubscribed root budget and a chaos fault plan (sensor dropout +
-//!   BMC crash). The run is repeated serial, parallel (re-exec'd under
+//!   BMC crash). The run is repeated serial and parallel (re-exec'd under
 //!   different `CAPSIM_THREADS` — the rayon shim resolves its pool once
-//!   per process) and across shard counts; every twin must land on the
-//!   same fingerprint (`deterministic`).
+//!   per process); every twin must land on the same fingerprint
+//!   (`deterministic`).
 //! * **the cap ladder** — the same served trace at progressively deeper
 //!   node budgets; each rung contributes (p99 latency, goodput, energy):
 //!   the paper's performance-vs-cap trade re-measured on tail latency.
@@ -44,8 +44,6 @@ use capsim_traffic::EmergencyConfig;
 #[derive(Clone, Copy)]
 struct Twin {
     threads: usize,
-    /// 0 = automatic topology.
-    shards: usize,
     parallel: bool,
 }
 
@@ -67,10 +65,7 @@ fn measure(
     } else {
         emergency(nodes, epochs)
     };
-    let mut scenario = cfg.scenario();
-    if twin.shards > 0 {
-        scenario.shards = Some(twin.shards);
-    }
+    let scenario = cfg.scenario();
     let start = Instant::now();
     let outcome = run_scenario(&scenario, twin.parallel);
     let wall = start.elapsed().as_secs_f64();
@@ -82,12 +77,12 @@ fn measure(
     (h.finish(), traffic, energy, spj, wall)
 }
 
-/// Child entry: argv = --measure nodes epochs threads shards parallel
-/// storm. Prints `<fingerprint> <completed> <p99_ms> <wall_s>`.
+/// Child entry: argv = --measure nodes epochs threads parallel storm.
+/// Prints `<fingerprint> <completed> <p99_ms> <wall_s>`.
 fn run_child(args: &[String]) {
     let num = |i: usize| args[i].parse::<usize>().expect("numeric arg");
-    let twin = Twin { threads: num(2), shards: num(3), parallel: num(4) != 0 };
-    let (fp, traffic, _, _, wall) = measure(num(0), num(1) as u32, twin, num(5) != 0);
+    let twin = Twin { threads: num(2), parallel: num(3) != 0 };
+    let (fp, traffic, _, _, wall) = measure(num(0), num(1) as u32, twin, num(4) != 0);
     println!("{fp} {} {} {wall}", traffic.completed, traffic.p99_ms);
 }
 
@@ -101,7 +96,6 @@ fn measure_in_child(nodes: usize, epochs: u32, twin: Twin, storm: bool) -> (u64,
             &nodes.to_string(),
             &epochs.to_string(),
             &twin.threads.to_string(),
-            &twin.shards.to_string(),
             &u8::from(twin.parallel).to_string(),
             &u8::from(storm).to_string(),
         ])
@@ -109,9 +103,8 @@ fn measure_in_child(nodes: usize, epochs: u32, twin: Twin, storm: bool) -> (u64,
         .expect("spawn measurement child");
     assert!(
         out.status.success(),
-        "measurement child failed (threads={}, shards={}, parallel={}): {}",
+        "measurement child failed (threads={}, parallel={}): {}",
         twin.threads,
-        twin.shards,
         twin.parallel,
         String::from_utf8_lossy(&out.stderr)
     );
@@ -174,30 +167,25 @@ fn main() {
 
     // --- Headline emergency + determinism twins -------------------------
     eprintln!("traffic: headline emergency ({nodes} nodes x {epochs} epochs) …");
-    let serial = Twin { threads: 1, shards: 1, parallel: false };
+    let serial = Twin { threads: 1, parallel: false };
     let (fp0, traffic, energy_j, spj, wall0) = measure(nodes, epochs, serial, false);
     eprintln!(
         "  serial          : {:>10.1} s wall, {} completed, {} shed, p99 {:.4} ms",
         wall0, traffic.completed, traffic.shed, traffic.p99_ms
     );
-    let twins = [
-        Twin { threads: 2, shards: 0, parallel: true },
-        Twin { threads: 2, shards: 4, parallel: true },
-        Twin { threads: 4, shards: 32, parallel: true },
-    ];
+    let twins = [Twin { threads: 2, parallel: true }, Twin { threads: 4, parallel: true }];
     let mut deterministic = true;
     for twin in twins {
         let (fp, wall) = measure_in_child(nodes, epochs, twin, false);
         let ok = fp == fp0;
         deterministic &= ok;
         eprintln!(
-            "  threads={} shards={:<4}: {wall:>10.1} s wall, fingerprint {}",
+            "  threads={}       : {wall:>10.1} s wall, fingerprint {}",
             twin.threads,
-            if twin.shards == 0 { "auto".into() } else { twin.shards.to_string() },
             if ok { "identical" } else { "DIVERGED" }
         );
     }
-    assert!(deterministic, "emergency replay diverged across thread/shard twins");
+    assert!(deterministic, "emergency replay diverged across thread twins");
 
     // --- Tail latency down the cap ladder -------------------------------
     let ladder_nodes = frontier_nodes;
@@ -249,22 +237,22 @@ fn main() {
     let storm_nodes = frontier_nodes;
     eprintln!("traffic: retry storm ({storm_nodes} nodes) …");
     let (storm_fp, storm, _, _, storm_wall) =
-        measure(storm_nodes, epochs, Twin { threads: 1, shards: 1, parallel: false }, true);
+        measure(storm_nodes, epochs, Twin { threads: 1, parallel: false }, true);
     eprintln!(
         "  serial          : {storm_wall:>10.1} s wall, {} retries, {} timeouts, \
          {} failover, {} shed",
         storm.retries, storm.client_timeouts, storm.failover, storm.shed
     );
-    let storm_twin = Twin { threads: 4, shards: 4, parallel: true };
+    let storm_twin = Twin { threads: 4, parallel: true };
     let (storm_fp_child, storm_child_wall) =
         measure_in_child(storm_nodes, epochs, storm_twin, true);
     let storm_ok = storm_fp_child == storm_fp;
     deterministic &= storm_ok;
     eprintln!(
-        "  threads=4 shards=4: {storm_child_wall:>10.1} s wall, fingerprint {}",
+        "  threads=4       : {storm_child_wall:>10.1} s wall, fingerprint {}",
         if storm_ok { "identical" } else { "DIVERGED" }
     );
-    assert!(storm_ok, "retry-storm replay diverged across thread/shard twins");
+    assert!(storm_ok, "retry-storm replay diverged across thread twins");
     assert!(storm.retries > 0, "the throttled emergency must ignite retries");
     assert!(storm.failover > 0, "full queues must re-home work at the barrier");
     assert_eq!(

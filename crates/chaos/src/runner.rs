@@ -34,10 +34,6 @@ pub struct ChaosScenario {
     pub workload: WorkloadSpec,
     pub control_period_us: f64,
     pub meter_window_s: f64,
-    /// Explicit group-manager shard count (None: the fleet's automatic
-    /// topology). Any value must produce byte-identical results — the
-    /// traffic bench sweeps this to prove it.
-    pub shards: Option<usize>,
     pub plan: FaultPlan,
     pub observe: bool,
     pub invariants: InvariantConfig,
@@ -65,7 +61,6 @@ impl ChaosScenario {
             workload: WorkloadSpec::Uniform(LoadKind::Pulse),
             control_period_us: 20_000.0,
             meter_window_s: 0.1,
-            shards: None,
             plan: FaultPlan::none().window(1, 10.0, 15.0, FaultKind::SensorDropout).window(
                 2,
                 20.0,
@@ -92,7 +87,6 @@ impl ChaosScenario {
             workload: WorkloadSpec::RoundRobin,
             control_period_us: 10.0,
             meter_window_s: 2e-4,
-            shards: None,
             plan: FaultPlan::none(),
             observe: false,
             invariants: InvariantConfig::default(),
@@ -126,11 +120,7 @@ impl ChaosScenario {
         if let Some(w) = self.budget_w {
             b = b.budget_w(w);
         }
-        b = b.workload(self.workload.clone()).cap_policy(self.policy.build());
-        if let Some(k) = self.shards {
-            b = b.shards(k);
-        }
-        b.build()
+        b.workload(self.workload.clone()).cap_policy(self.policy.build()).build()
     }
 
     pub fn to_json(&self) -> String {

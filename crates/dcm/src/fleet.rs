@@ -1,42 +1,42 @@
 //! The fleet engine: N simulated nodes stepped in lock-step simulated
-//! time under one hierarchical DCM budget loop.
+//! time under one DCM budget loop.
 //!
-//! The fleet is split into contiguous **shards**, each owned by a
-//! [`GroupManager`]. A control epoch runs as two parallel wire phases
-//! bracketing serial root decisions:
+//! A control epoch runs as two wire phases bracketing serial root
+//! decisions. Each wire phase is one map over the nodes, fanned out over
+//! the worker pool when the fleet is parallel:
 //!
-//! 1. **Poll phase** (parallel over shards) — each group steps its
-//!    shard's nodes by `epoch_s`, then polls their power over IPMI. A
-//!    group does *wire work only*: it captures every transaction as a
-//!    [`WireOutcome`] and hands the outcomes up undecoded, recording
-//!    nothing itself.
+//! 1. **Poll phase** (per node) — step the node by `epoch_s`, then poll
+//!    its power over IPMI. The map does *wire work only*: it captures
+//!    every transaction as a [`WireOutcome`] and hands the outcomes up
+//!    undecoded, recording nothing itself.
 //! 2. **Root barrier** (serial) — the root absorbs the captured
-//!    outcomes in canonical node order (replaying retry/timeout
-//!    observability and health transitions exactly as a flat manager
-//!    would have, and decoding each reading once), runs fleet-side
-//!    violation detection, and plans the budget over the nodes that
-//!    answered through the fleet's [`CapPolicy`] — the only planner
-//!    (default: [`LadderCapPolicy`] over a uniform split).
-//! 3. **Push phase** (parallel over shards) — groups push the planned
-//!    caps (DCMI *Set* + *Activate*), again capturing outcomes.
+//!    outcomes in node order (replaying retry/timeout observability and
+//!    health transitions exactly as a serial manager would have, and
+//!    decoding each reading once), runs fleet-side violation detection,
+//!    and plans the budget over the nodes that answered through the
+//!    fleet's [`CapPolicy`] — the only planner (default:
+//!    [`LadderCapPolicy`] over a uniform split).
+//! 3. **Push phase** (per node) — push the planned caps (DCMI *Set* +
+//!    *Activate*), again capturing outcomes.
 //! 4. **Root barrier** (serial) — outcomes absorbed in node order; the
 //!    epoch record and barrier events are emitted.
 //!
 //! Serial per-epoch work at the root is a lean sweep over
 //! struct-of-arrays control state (`FleetCtrl`); the expensive part —
-//! pumping links, burning retry budgets against lossy links
-//! ([`FaultSpec`]) — runs shard-parallel, O(shard) per group.
+//! stepping nodes, pumping links, burning retry budgets against lossy
+//! links ([`FaultSpec`]) — runs in the per-node maps.
 //!
 //! **Determinism contract:** per-node transactions touch only that
 //! node's link and BMC, and the root absorbs outcomes in registration
-//! order, so serial, parallel and *any* shard count produce byte-equal
-//! reports and observability streams. The allocation rules are written
-//! in partition-invariant closed form (see `capsim_policy::allocate`) so
-//! the root's plan also cannot depend on how demand was gathered.
+//! order, so serial and parallel runs, at any worker count, produce
+//! byte-equal reports and observability streams. The allocation rules
+//! are written in partition-invariant closed form (see
+//! `capsim_policy::allocate`) so the root's plan also cannot depend on
+//! how demand was gathered.
 //!
-//! Two elisions keep quiescent fleets cheap, both decided from state
-//! that cannot depend on sharding: a poll is skipped when the root's
-//! cached reading is provably what the BMC would answer again
+//! Two elisions keep quiescent fleets cheap, both decided from per-node
+//! state that no schedule can change: a poll is skipped when the root's cached reading is
+//! provably what the BMC would answer again
 //! ([`capsim_node::bmc::Bmc::poll_would_repeat`]), and a cap push is
 //! skipped when the planned cap is bit-identical to the cap already in
 //! effect. Skips are counted (`fleet.polls_skipped`,
@@ -111,6 +111,19 @@ impl Transact for PumpedLink<'_> {
 // fleet engine); re-exported here to keep historical paths compiling.
 pub use capsim_node::workload::{LoadKind, SyntheticLoad, WorkloadSpec};
 
+/// Wait budget per IPMI attempt, in BMC polls (scaled by the retry
+/// policy's patience schedule).
+const POLLS_PER_ATTEMPT: u32 = 16;
+
+/// Per-stream event ring capacity of an observed fleet.
+const OBS_EVENT_CAPACITY: usize = 4096;
+
+/// Consecutive failed polls that open a node's failover breaker.
+const BREAKER_TRIP_AFTER: u32 = 2;
+
+/// Barriers an open breaker waits before going half-open.
+const BREAKER_COOLDOWN: u32 = 2;
+
 struct SimNode {
     id: NodeId,
     port: ManagerPort,
@@ -118,21 +131,14 @@ struct SimNode {
     load: Box<dyn EpochWorkload>,
 }
 
-/// One shard's manager in the hierarchical budget tree: owns the wire
-/// work for a contiguous range of nodes. Groups run on worker threads
-/// during the parallel phases and deliberately hold no mutable state and
-/// no observability sink — every transaction outcome is captured and
-/// handed up undecoded for the root to absorb (and decode) in canonical
-/// node order, which is what keeps the recorded streams independent of
-/// the shard count. Groups plan nothing: the root plans the whole fleet.
-pub struct GroupManager {
-    /// Registration-index range of the shard (contiguous).
-    range: std::ops::Range<usize>,
-    polls_per_attempt: u32,
-    retry: RetryPolicy,
+impl SimNode {
+    /// The node's management link, pumping its own BMC.
+    fn link(&mut self) -> PumpedLink<'_> {
+        PumpedLink::new(&mut self.port, &mut self.machine, POLLS_PER_ATTEMPT)
+    }
 }
 
-/// One node's slot in a group's poll phase.
+/// One node's slot in the poll phase.
 enum PollOutcome {
     /// The root's cached reading is provably current; no wire traffic.
     Skipped,
@@ -140,59 +146,18 @@ enum PollOutcome {
     Polled(WireOutcome),
 }
 
-impl GroupManager {
-    fn len(&self) -> usize {
-        self.range.end - self.range.start
+/// Poll phase for one node: step it by `epoch_s`, then gather demand.
+/// `skip_ok` is the root's clearance to use the cached reading if — and
+/// only if — the BMC agrees a fresh poll would repeat itself. Touches only
+/// this node's machine, link and BMC, and records nothing.
+fn poll_node(n: &mut SimNode, epoch_s: f64, skip_ok: bool, retry: &RetryPolicy) -> PollOutcome {
+    n.machine.step(epoch_s, n.load.as_mut());
+    if skip_ok && n.machine.bmc_poll_would_repeat() {
+        return PollOutcome::Skipped;
     }
-
-    /// Phase 1 for this shard: step every node by `epoch_s`, then gather
-    /// demand. `can_skip` is the root's per-node clearance (aligned to
-    /// the shard) to use the cached reading if — and only if — the BMC
-    /// agrees a fresh poll would repeat itself. Returns one outcome per
-    /// node, in shard order.
-    fn poll_phase(
-        &self,
-        nodes: &mut [SimNode],
-        epoch_s: f64,
-        can_skip: &[bool],
-    ) -> Vec<PollOutcome> {
-        debug_assert_eq!(nodes.len(), self.len());
-        let mut outcomes = Vec::with_capacity(nodes.len());
-        for (n, &skip_ok) in nodes.iter_mut().zip(can_skip) {
-            n.machine.step(epoch_s, n.load.as_mut());
-            if skip_ok && n.machine.bmc_poll_would_repeat() {
-                outcomes.push(PollOutcome::Skipped);
-                continue;
-            }
-            let mut link = PumpedLink::new(&mut n.port, &mut n.machine, self.polls_per_attempt);
-            let out =
-                WireOutcome::capture(&mut link, &self.retry, &|seq| GetPowerReading::request(seq));
-            outcomes.push(PollOutcome::Polled(out));
-        }
-        outcomes
-    }
-
-    /// Phase 2 for this shard: push the planned caps. `work` is aligned
-    /// to the shard; `None` means no push for that node this epoch
-    /// (unanswered, or elided because the cap is already in effect).
-    fn push_phase(
-        &self,
-        nodes: &mut [SimNode],
-        work: &[Option<PowerLimit>],
-    ) -> Vec<Option<CapPushOutcome>> {
-        debug_assert_eq!(nodes.len(), self.len());
-        nodes
-            .iter_mut()
-            .zip(work)
-            .map(|(n, w)| {
-                w.map(|limit| {
-                    let mut link =
-                        PumpedLink::new(&mut n.port, &mut n.machine, self.polls_per_attempt);
-                    CapPushOutcome::capture(&mut link, &self.retry, limit)
-                })
-            })
-            .collect()
-    }
+    PollOutcome::Polled(WireOutcome::capture(&mut n.link(), retry, &|seq| {
+        GetPowerReading::request(seq)
+    }))
 }
 
 /// Per-node circuit-breaker state at the fleet barrier. Breakers guard
@@ -348,6 +313,9 @@ pub struct FleetReport {
     /// Every node's request books, summed in node order (empty for batch
     /// fleets); recorded with observability on or off.
     pub serving: MetricsSnapshot,
+    /// Failover circuit-breaker transitions at the fleet barrier over the
+    /// whole run, counted on control state with observability on or off.
+    pub breaker_transitions: u64,
     /// Present when the fleet was built with [`FleetBuilder::observe`].
     pub obs: Option<FleetObs>,
 }
@@ -488,13 +456,12 @@ impl FleetReport {
         self.serving.gauge(traffic_keys::RATE_MULTIPLIER)
     }
 
-    /// Circuit-breaker transitions recorded at the fleet barrier over the
-    /// whole run. `None` for batch fleets (mirroring
-    /// [`FleetReport::traffic`]) and for unobserved ones: this counts
-    /// fleet telemetry, which lives in obs. Zero means no breaker moved.
+    /// Circuit-breaker transitions at the fleet barrier over the whole
+    /// run. `None` for batch fleets (mirroring [`FleetReport::traffic`]).
+    /// Zero means no breaker moved.
     pub fn breaker_transitions(&self) -> Option<u64> {
         self.traffic()?;
-        Some(self.obs.as_ref()?.metrics.counter("fleet.breaker_transitions"))
+        Some(self.breaker_transitions)
     }
 }
 
@@ -573,17 +540,11 @@ pub struct FleetBuilder {
     seed: u64,
     parallel: bool,
     base: MachineConfig,
-    polls_per_attempt: u32,
-    retry: RetryPolicy,
     dead: Vec<usize>,
-    audit_sel: bool,
-    observe: Option<usize>,
+    observe: bool,
     workload: WorkloadSpec,
-    shards: Option<usize>,
     violation_margin_w: f64,
     violation_after: u32,
-    breaker_trip_after: u32,
-    breaker_cooldown: u32,
 }
 
 impl FleetBuilder {
@@ -607,17 +568,11 @@ impl FleetBuilder {
             seed: 0,
             parallel: true,
             base,
-            polls_per_attempt: 16,
-            retry: RetryPolicy::default(),
             dead: Vec::new(),
-            audit_sel: true,
-            observe: None,
+            observe: false,
             workload: WorkloadSpec::RoundRobin,
-            shards: None,
             violation_margin_w: 10.0,
             violation_after: 3,
-            breaker_trip_after: 2,
-            breaker_cooldown: 2,
         }
     }
 
@@ -682,12 +637,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Retry budget for barrier-phase transactions.
-    pub fn retry(mut self, r: RetryPolicy) -> Self {
-        self.retry = r;
-        self
-    }
-
     /// Make one node's management link a black hole (its BMC never hears
     /// the manager) — the degraded-fleet scenario.
     pub fn dead_node(mut self, index: usize) -> Self {
@@ -695,25 +644,11 @@ impl FleetBuilder {
         self
     }
 
-    /// Audit each node's SEL over IPMI at the end of the run (default
-    /// true; large sweeps can turn it off).
-    pub fn audit_sel(mut self, on: bool) -> Self {
-        self.audit_sel = on;
-        self
-    }
-
     /// Record metrics and a typed event log during the run (default off —
     /// observability must be asked for, so unobserved runs pay only a
     /// branch per site). The report then carries [`FleetObs`].
     pub fn observe(mut self, on: bool) -> Self {
-        self.observe = on.then_some(4096);
-        self
-    }
-
-    /// Like [`FleetBuilder::observe`] with an explicit per-stream event
-    /// ring capacity.
-    pub fn observe_capacity(mut self, event_capacity: usize) -> Self {
-        self.observe = Some(event_capacity);
+        self.observe = on;
         self
     }
 
@@ -722,16 +657,6 @@ impl FleetBuilder {
     /// external generators like capsim-traffic's request queues.
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
         self.workload = spec;
-        self
-    }
-
-    /// Number of group-manager shards (clamped to `1..=nodes` at build).
-    /// Any value produces byte-identical results; this knob only decides
-    /// how wire work is split across workers. Default: automatic —
-    /// enough shards to feed the worker pool, with shards of at most
-    /// ~64 nodes for large fleets.
-    pub fn shards(mut self, k: usize) -> Self {
-        self.shards = Some(k);
         self
     }
 
@@ -746,26 +671,13 @@ impl FleetBuilder {
         self
     }
 
-    /// Tune the per-node failover circuit breakers: `trip_after`
-    /// consecutive poll timeouts (or a cap-violation streak at the
-    /// violation detector's threshold) opens a node's breaker, removing
-    /// it from failover routing; after `cooldown_epochs` barriers the
-    /// breaker goes half-open and re-admits a single probe request, and a
-    /// clean barrier closes it. Defaults: trip after 2, cool down for 2.
-    pub fn breaker(mut self, trip_after: u32, cooldown_epochs: u32) -> Self {
-        self.breaker_trip_after = trip_after.max(1);
-        self.breaker_cooldown = cooldown_epochs.max(1);
-        self
-    }
-
     /// Build the fleet: per-node machines (seeded from the fleet seed),
     /// management links (faulty if configured) and the DCM registry.
     pub fn build(self) -> Fleet {
         assert!(self.nodes > 0, "a fleet needs nodes");
         let mut dcm = Dcm::new();
-        dcm.retry = self.retry;
-        if let Some(cap) = self.observe {
-            dcm.obs = capsim_obs::Obs::enabled(cap);
+        if self.observe {
+            dcm.obs = capsim_obs::Obs::enabled(OBS_EVENT_CAPACITY);
         }
         // One ladder for the whole fleet: node configs differ only in their
         // seed, which the ladder does not read, so each clone (sharing the
@@ -783,8 +695,8 @@ impl FleetBuilder {
             let mut cfg = self.base.clone();
             cfg.seed = node_seed;
             let mut machine = Machine::with_ladder(cfg, ladder.clone());
-            if let Some(cap) = self.observe {
-                machine.enable_obs(cap);
+            if self.observe {
+                machine.enable_obs(OBS_EVENT_CAPACITY);
             }
             machine.attach_bmc_port(bmc_port);
             // Per-node instance with its own random stream, derived from
@@ -798,47 +710,16 @@ impl FleetBuilder {
             let id = dcm.register(format!("n{i:04}"));
             nodes.push(SimNode { id, port, machine, load });
         }
-        let budget_w = self.budget_w.unwrap_or(135.0 * self.nodes as f64);
-        let n = nodes.len();
-        // Resolve the shard count. The automatic default keys off the
-        // worker pool, which is environment-dependent — safe only because
-        // the shard count is result-invariant (pinned by tests).
-        let shards = self
-            .shards
-            .unwrap_or_else(|| rayon::current_num_threads().max(n.div_ceil(64)))
-            .clamp(1, n);
-        // Contiguous shards, the first `n % shards` one node longer.
-        let groups = {
-            let base = n / shards;
-            let extra = n % shards;
-            let mut start = 0;
-            (0..shards)
-                .map(|g| {
-                    let len = base + usize::from(g < extra);
-                    let range = start..start + len;
-                    start += len;
-                    GroupManager {
-                        range,
-                        polls_per_attempt: self.polls_per_attempt,
-                        retry: self.retry,
-                    }
-                })
-                .collect()
-        };
         Fleet {
             epochs: self.epochs,
             epoch_s: self.epoch_s,
-            budget_w,
+            budget_w: self.budget_w.unwrap_or(135.0 * self.nodes as f64),
             policy: self.policy,
             parallel: self.parallel,
-            polls_per_attempt: self.polls_per_attempt,
-            audit_sel: self.audit_sel,
             violation_margin_w: self.violation_margin_w,
             violation_after: self.violation_after,
-            breaker_trip_after: self.breaker_trip_after,
-            breaker_cooldown: self.breaker_cooldown,
-            ctrl: FleetCtrl::new(n),
-            groups,
+            ctrl: FleetCtrl::new(nodes.len()),
+            breaker_transitions: 0,
             next_epoch: 0,
             records: Vec::with_capacity(self.epochs as usize),
             dcm,
@@ -868,14 +749,11 @@ pub struct Fleet {
     /// The fleet's planner; each node's BMC holds its own clone.
     policy: Box<dyn CapPolicy>,
     parallel: bool,
-    polls_per_attempt: u32,
-    audit_sel: bool,
     violation_margin_w: f64,
     violation_after: u32,
-    breaker_trip_after: u32,
-    breaker_cooldown: u32,
     ctrl: FleetCtrl,
-    groups: Vec<GroupManager>,
+    /// Breaker transitions so far (see [`FleetReport::breaker_transitions`]).
+    breaker_transitions: u64,
     next_epoch: u32,
     records: Vec<EpochRecord>,
     dcm: Dcm,
@@ -939,15 +817,7 @@ impl Fleet {
     /// Read a node's full SEL over its pumped management link (the same
     /// path the end-of-run audit uses), without updating DCM health.
     pub fn read_node_sel(&mut self, index: usize) -> Result<Vec<SelEntry>, IpmiError> {
-        let retry = self.dcm.retry;
-        let n = &mut self.nodes[index];
-        let mut link = PumpedLink::new(&mut n.port, &mut n.machine, self.polls_per_attempt);
-        read_sel(&mut link, &retry)
-    }
-
-    /// Number of group-manager shards the fleet was built with.
-    pub fn shards(&self) -> usize {
-        self.groups.len()
+        read_sel(&mut self.nodes[index].link(), &self.dcm.retry)
     }
 
     /// Advance the whole fleet by one epoch (parallel poll phase, serial
@@ -970,30 +840,13 @@ impl Fleet {
         self.finish()
     }
 
-    /// Split the node vector into the groups' contiguous shards. The
-    /// split is purely positional, so it costs nothing and cannot
-    /// reorder nodes.
-    fn shard_chunks<'a>(
-        groups: &'a [GroupManager],
-        mut nodes: &'a mut [SimNode],
-    ) -> Vec<(&'a GroupManager, &'a mut [SimNode])> {
-        let mut chunks = Vec::with_capacity(groups.len());
-        for g in groups {
-            let (head, tail) = nodes.split_at_mut(g.len());
-            chunks.push((g, head));
-            nodes = tail;
-        }
-        debug_assert!(nodes.is_empty());
-        chunks
-    }
-
-    /// One epoch of the hierarchical engine.
+    /// One epoch of the fleet engine.
     ///
-    /// * **Poll phase (parallel over shards).** Each group manager steps
-    ///   its nodes by one epoch of simulated time and gathers demand —
-    ///   polling over the wire, or skipping the poll when the root's
-    ///   cached reading is provably what the BMC would answer. Groups
-    ///   touch only their own shard and record nothing.
+    /// * **Poll phase (one map over nodes).** Each node is stepped by one
+    ///   epoch of simulated time and its demand gathered — polled over
+    ///   the wire, or the poll skipped when the root's cached reading is
+    ///   provably what the BMC would answer. The map touches only each
+    ///   node's own state and records nothing.
     /// * **Root barrier (serial).** The root absorbs the captured wire
     ///   outcomes in registration order (so health bookkeeping, metrics
     ///   and events are byte-identical to a serial run), detects cap
@@ -1001,12 +854,13 @@ impl Fleet {
     ///   [`CapPolicy`] (recording a `policy_plan` event when observed)
     ///   and plans the pushes — eliding any push whose cap is already
     ///   confirmed in effect.
-    /// * **Push phase (parallel over shards).** Groups push the planned
-    ///   caps; the root absorbs the outcomes in order.
+    /// * **Push phase (one map over nodes).** The planned caps are
+    ///   pushed; the root absorbs the outcomes in order.
     ///
     /// All cross-node decisions live in the serial root sections and
     /// every per-node wire exchange uses only that node's own link and
-    /// BMC, which is why the shard count cannot change any result.
+    /// BMC, which is why neither `parallel` nor the worker count can
+    /// change any result.
     fn run_epoch(&mut self, epoch: u32) -> EpochRecord {
         // All nodes sit at the same simulated instant at the barrier;
         // stamp manager-side events with it (deterministic: derived from
@@ -1023,24 +877,20 @@ impl Fleet {
             self.ctrl.can_skip[i] = self.ctrl.poll_ok[i] && self.ctrl.demand_valid[i];
         }
 
-        // Poll phase, fanned out over shards.
-        let epoch_s = self.epoch_s;
-        let can_skip = &self.ctrl.can_skip;
-        let run_poll = |(g, chunk): (&GroupManager, &mut [SimNode])| {
-            g.poll_phase(chunk, epoch_s, &can_skip[g.range.clone()])
-        };
-        let chunks = Self::shard_chunks(&self.groups, &mut self.nodes);
-        let outcomes: Vec<Vec<PollOutcome>> = if self.parallel {
-            chunks.into_par_iter().map(run_poll).collect()
+        // Poll phase: one map over the nodes.
+        let (epoch_s, retry) = (self.epoch_s, self.dcm.retry);
+        let poll = |(n, &skip_ok): (&mut SimNode, &bool)| poll_node(n, epoch_s, skip_ok, &retry);
+        let work = self.nodes.iter_mut().zip(&self.ctrl.can_skip);
+        let outcomes: Vec<PollOutcome> = if self.parallel {
+            work.into_par_iter().map(poll).collect()
         } else {
-            chunks.into_iter().map(run_poll).collect()
+            work.map(poll).collect()
         };
 
-        // Root absorbs the poll outcomes in registration order. Shards
-        // are contiguous and in order, so the flattened stream is too.
+        // Root absorbs the poll outcomes in registration order.
         let mut demand: Vec<(NodeId, f64)> = Vec::with_capacity(n);
         let mut polls_skipped = 0u64;
-        for (i, out) in outcomes.into_iter().flatten().enumerate() {
+        for (i, out) in outcomes.into_iter().enumerate() {
             let id = self.nodes[i].id;
             match out {
                 PollOutcome::Skipped => {
@@ -1095,7 +945,7 @@ impl Fleet {
         // workload/control state through the `queue_room` hook and the
         // breaker columns — never observability — and runs in
         // registration order at the barrier, so the outcome cannot depend
-        // on shard count or thread count. Circuit breakers tick first:
+        // on the thread count. Circuit breakers tick first:
         // they read this barrier's poll and violation streaks, so a node
         // that just went dark is out of the routing heap in the same
         // epoch its first poll fails.
@@ -1149,28 +999,26 @@ impl Fleet {
             }
         }
 
-        // Push phase, fanned out over shards.
-        let planned = &self.ctrl.planned;
-        let run_push = |(g, chunk): (&GroupManager, &mut [SimNode])| {
-            g.push_phase(chunk, &planned[g.range.clone()])
+        // Push phase: one map over the nodes; `None` means no push for
+        // that node this epoch (unanswered, or the cap is in effect).
+        let push = |(n, planned): (&mut SimNode, &Option<PowerLimit>)| {
+            planned.map(|limit| CapPushOutcome::capture(&mut n.link(), &retry, limit))
         };
-        let chunks = Self::shard_chunks(&self.groups, &mut self.nodes);
-        let outcomes: Vec<Vec<Option<CapPushOutcome>>> = if self.parallel {
-            chunks.into_par_iter().map(run_push).collect()
+        let work = self.nodes.iter_mut().zip(&self.ctrl.planned);
+        let outcomes: Vec<Option<CapPushOutcome>> = if self.parallel {
+            work.into_par_iter().map(push).collect()
         } else {
-            chunks.into_iter().map(run_push).collect()
+            work.map(push).collect()
         };
 
         // Root absorbs the push outcomes in registration order. `caps`
         // is ascending by node index (demand is gathered in order), as is
-        // the flattened outcome stream, so one forward walk pairs them.
+        // the outcome vector, so one forward walk pairs them.
         let mut caps_in_effect: Vec<(u32, f64)> = Vec::with_capacity(caps.len());
         let mut wire_pushes = 0u64;
         {
-            let mut outs = outcomes.into_iter().flatten();
             let mut planned_caps = caps.iter().peekable();
-            for i in 0..n {
-                let out = outs.next().expect("one outcome slot per node");
+            for (i, out) in outcomes.into_iter().enumerate() {
                 let cap = planned_caps.next_if(|&&(id, _)| id.index() == i).map(|&(_, c)| c);
                 match (out, cap) {
                     (Some(push), Some(cap)) => {
@@ -1235,21 +1083,22 @@ impl Fleet {
 
     /// Tick the per-node failover circuit breakers at the root barrier
     /// (called only for fleets that route failover work). Trips on a
-    /// poll-timeout streak of `breaker_trip_after` or a cap-violation
+    /// poll-timeout streak of [`BREAKER_TRIP_AFTER`] or a cap-violation
     /// streak at the violation detector's threshold; after
-    /// `breaker_cooldown` epochs the breaker goes half-open (one probe),
-    /// and a clean barrier closes it. Transitions are typed obs events
-    /// with node attribution; recording is obs-gated, the state machine
-    /// itself never reads observability.
+    /// [`BREAKER_COOLDOWN`] epochs the breaker goes half-open (one probe),
+    /// and a clean barrier closes it. Transitions are counted on control
+    /// state and recorded as typed obs events with node attribution;
+    /// recording is obs-gated, the state machine itself never reads
+    /// observability.
     fn update_breakers(&mut self, epoch: u32, barrier_t_s: f64) {
         for i in 0..self.nodes.len() {
-            let tripping = self.ctrl.timeout_streak[i] >= self.breaker_trip_after
+            let tripping = self.ctrl.timeout_streak[i] >= BREAKER_TRIP_AFTER
                 || self.ctrl.viol_streak[i] >= self.violation_after;
             let cur = self.ctrl.breaker[i];
             let next = match cur {
                 BreakerState::Closed => {
                     if tripping {
-                        BreakerState::Open { until: epoch.saturating_add(self.breaker_cooldown) }
+                        BreakerState::Open { until: epoch.saturating_add(BREAKER_COOLDOWN) }
                     } else {
                         cur
                     }
@@ -1265,7 +1114,7 @@ impl Fleet {
                 // at this barrier re-opens, a fully clean barrier closes.
                 BreakerState::HalfOpen => {
                     if self.ctrl.timeout_streak[i] > 0 || self.ctrl.viol_streak[i] > 0 {
-                        BreakerState::Open { until: epoch.saturating_add(self.breaker_cooldown) }
+                        BreakerState::Open { until: epoch.saturating_add(BREAKER_COOLDOWN) }
                     } else {
                         BreakerState::Closed
                     }
@@ -1273,6 +1122,7 @@ impl Fleet {
             };
             if next != cur {
                 self.ctrl.breaker[i] = next;
+                self.breaker_transitions += 1;
                 if self.dcm.obs.is_enabled() {
                     self.dcm.obs.metrics.inc("fleet.breaker_transitions");
                     self.dcm.obs.events.record_for(
@@ -1384,9 +1234,7 @@ impl Fleet {
     /// stats, SEL audit, the summed request books, merged observability.
     pub fn finish(mut self) -> FleetReport {
         let records = std::mem::take(&mut self.records);
-        let audit = self.audit_sel;
         let retry = self.dcm.retry;
-        let polls = self.polls_per_attempt;
         let observe = self.dcm.obs.is_enabled();
         if observe {
             // Fold the per-link fault injector tallies into the manager's
@@ -1422,12 +1270,8 @@ impl Fleet {
             // recorded as in-flight) before the machine's books close.
             n.load.finish(&mut n.machine);
             let stats: RunStats = n.machine.finish_run();
-            let sel_violations = if audit {
-                let mut link = PumpedLink::new(&mut n.port, &mut n.machine, polls);
-                read_sel(&mut link, &retry).map(|e| violation_count(&e)).unwrap_or(0)
-            } else {
-                0
-            };
+            let sel_violations =
+                read_sel(&mut n.link(), &retry).map(|e| violation_count(&e)).unwrap_or(0);
             summaries.push(NodeSummary {
                 index: n.id.index() as u32,
                 name: self.dcm.node_name(n.id).to_string(),
@@ -1465,6 +1309,7 @@ impl Fleet {
             records,
             summaries,
             serving,
+            breaker_transitions: self.breaker_transitions,
             obs,
         }
     }
@@ -1533,26 +1378,22 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_is_result_invariant() {
+    fn lossy_observed_runs_match_serial_and_parallel() {
         // Even with lossy links (per-link fault RNG) and observability on
-        // (metrics + merged event stream compared field by field), the
-        // shard count must not leak into any result.
-        let build = |shards: usize| {
+        // (metrics + merged event stream compared field by field), how
+        // the per-node maps are scheduled must not leak into any result.
+        let build = |parallel: bool| {
             FleetBuilder::new()
                 .nodes(9)
                 .epochs(4)
                 .seed(5)
                 .faults(FaultSpec::lossy(0.1))
                 .observe(true)
-                .shards(shards)
+                .parallel(parallel)
                 .build()
                 .run()
         };
-        let one = build(1);
-        for k in [2, 3, 9] {
-            let sharded = build(k);
-            assert_eq!(one, sharded, "shards={k} changed the run");
-        }
+        assert_eq!(build(false), build(true), "the parallel fan-out changed the run");
     }
 
     #[test]

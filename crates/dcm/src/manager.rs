@@ -9,8 +9,8 @@
 //!
 //! Every operation is one path: capture the wire outcome under the
 //! manager's [`RetryPolicy`], then absorb it into observability and
-//! per-node [`NodeHealth`]. The sharded fleet captures on group workers
-//! and absorbs at the root; the operations below do both back to back.
+//! per-node [`NodeHealth`]. The fleet captures in its per-node maps and
+//! absorbs at the root; the operations below do both back to back.
 //!
 //! Planning is one path too: [`Dcm::plan_with`] hands the answering
 //! nodes' demand to a [`CapPolicy`]'s group half, and
@@ -296,13 +296,13 @@ impl Dcm {
     // ------------------------------------------------------ absorbing outcomes
     //
     // Every transaction is captured as a [`WireOutcome`] first and absorbed
-    // here second. Sharded lock-step fleets capture on group workers (own
-    // link, own BMC, so outcomes cannot depend on the sharding) and the
-    // root absorbs serially in canonical node order; the transactions
-    // below capture and absorb back to back. Either way the manager
-    // records the same counters, events and health transitions in the same
-    // order, so the observability stream is byte-identical whether the
-    // fleet ran with one group or fifty.
+    // here second. Lock-step fleets capture in per-node maps (own link, own
+    // BMC, so outcomes cannot depend on the schedule) and the root absorbs
+    // serially in node order; the transactions below capture and absorb
+    // back to back. Either way the manager records the same counters,
+    // events and health transitions in the same order, so the
+    // observability stream is byte-identical whether the fleet ran on one
+    // worker or many.
 
     /// Record one captured outcome into observability and health tracking:
     /// `ipmi.transactions` / `ipmi.attempts` / `ipmi.retries` /

@@ -39,6 +39,6 @@ pub use message::{CompletionCode, IpmiError, NetFn, Request, Response};
 pub use sel::{SelEntry, SelEventType, SystemEventLog, SEL_CAPACITY};
 pub use sensor::{SensorId, SensorRead, SensorValue};
 pub use transport::{
-    splitmix64, transact_retry, transact_retry_counted, BmcPort, FaultDirection, FaultInjector,
-    FaultSpec, FaultStats, LanChannel, ManagerPort, RetryPolicy, Transact, WireOutcome,
+    splitmix64, transact_retry, BmcPort, FaultDirection, FaultInjector, FaultSpec, FaultStats,
+    LanChannel, ManagerPort, RetryPolicy, Transact, WireOutcome,
 };

@@ -17,8 +17,9 @@
 //! request, get the matching response (sequence number, NetFn *and*
 //! command must all match, so stale or wrapped-sequence responses from
 //! earlier, timed-out requests are rejected rather than mistaken for the
-//! answer). [`transact_retry`] layers bounded retry-with-backoff on top,
-//! re-issuing with a fresh sequence number on transient failures.
+//! answer). [`WireOutcome::capture`] layers bounded retry-with-backoff on
+//! top, re-issuing with a fresh sequence number on transient failures;
+//! [`transact_retry`] returns just its result.
 //!
 //! There is one wait discipline: [`ManagerPort::transact_polled`] counts
 //! its wait in delivery polls, and the caller's callback gives the BMC its
@@ -314,24 +315,23 @@ impl RetryPolicy {
 }
 
 /// Issue a command built by `build(seq)` under `retry`, returning the
-/// first non-busy matching response. Transient failures (dropped,
-/// corrupted, timed-out frames, busy completions) are retried; anything
-/// else aborts immediately.
+/// first non-busy matching response: [`WireOutcome::capture`] for callers
+/// that do not count attempts.
 pub fn transact_retry(
     link: &mut dyn Transact,
     retry: &RetryPolicy,
     build: &dyn Fn(u8) -> Request,
 ) -> Result<Response, IpmiError> {
-    transact_retry_counted(link, retry, build).0
+    WireOutcome::capture(link, retry, build).result
 }
 
 /// The terminal result of one retried transaction plus how many attempts
 /// it took — everything a deferred observer needs to reconstruct the
-/// retry/timeout story after the fact. Sharded lock-step managers capture
-/// one of these per wire command on worker threads, then replay them into
-/// the root manager's observability sink in canonical node order (see
+/// retry/timeout story after the fact. Lock-step fleets capture one of
+/// these per wire command in their per-node maps, then replay them into
+/// the root manager's observability sink in node order (see
 /// `capsim_dcm`), keeping the recorded stream independent of how the
-/// fleet was partitioned.
+/// map was scheduled across workers.
 #[derive(Debug)]
 pub struct WireOutcome {
     /// What the transaction finally returned.
@@ -341,47 +341,36 @@ pub struct WireOutcome {
 }
 
 impl WireOutcome {
-    /// Run one retried transaction and capture its outcome.
+    /// Run one retried transaction and capture its outcome. Transient
+    /// failures (dropped, corrupted, timed-out frames, busy completions)
+    /// are retried, each attempt with a fresh sequence number and a
+    /// doubling patience; anything else aborts immediately. The
+    /// observability layer turns `attempts − 1` into retry counters and
+    /// timeout events.
     pub fn capture(
         link: &mut dyn Transact,
         retry: &RetryPolicy,
         build: &dyn Fn(u8) -> Request,
     ) -> WireOutcome {
-        let (result, attempts) = transact_retry_counted(link, retry, build);
-        WireOutcome { result, attempts }
-    }
-}
-
-/// [`transact_retry`], additionally reporting how many attempts were spent
-/// (≥1). The observability layer turns `attempts − 1` into retry counters
-/// and timeout events; callers that don't care use [`transact_retry`].
-pub fn transact_retry_counted(
-    link: &mut dyn Transact,
-    retry: &RetryPolicy,
-    build: &dyn Fn(u8) -> Request,
-) -> (Result<Response, IpmiError>, u32) {
-    let mut last = IpmiError::TimedOut;
-    let attempts = retry.attempts.max(1);
-    for attempt in 0..attempts {
-        link.set_patience((1u32 << attempt.min(8)).min(retry.max_patience.max(1)));
-        let req = build(link.next_seq());
-        match link.transact(&req) {
-            Ok(resp) if resp.completion == CompletionCode::NodeBusy => {
-                last = IpmiError::Completion(CompletionCode::NodeBusy);
-            }
-            Ok(resp) => {
-                link.set_patience(1);
-                return (Ok(resp), attempt + 1);
-            }
-            Err(e) if e.is_transient() => last = e,
-            Err(e) => {
-                link.set_patience(1);
-                return (Err(e), attempt + 1);
+        let mut last = IpmiError::TimedOut;
+        let attempts = retry.attempts.max(1);
+        for attempt in 0..attempts {
+            link.set_patience((1u32 << attempt.min(8)).min(retry.max_patience.max(1)));
+            let req = build(link.next_seq());
+            match link.transact(&req) {
+                Ok(resp) if resp.completion == CompletionCode::NodeBusy => {
+                    last = IpmiError::Completion(CompletionCode::NodeBusy);
+                }
+                Err(e) if e.is_transient() => last = e,
+                result => {
+                    link.set_patience(1);
+                    return WireOutcome { result, attempts: attempt + 1 };
+                }
             }
         }
+        link.set_patience(1);
+        WireOutcome { result: Err(last), attempts }
     }
-    link.set_patience(1);
-    (Err(last), attempts)
 }
 
 /// Constructor namespace for the channel pair.
@@ -754,11 +743,11 @@ mod tests {
             echo_pending(&bmc);
         });
         let retry = RetryPolicy { attempts: 4, max_patience: 4 };
-        let (result, attempts) = transact_retry_counted(&mut link, &retry, &|seq| {
+        let out = WireOutcome::capture(&mut link, &retry, &|seq| {
             Request::new(NetFn::App, 0x01, seq, Bytes::new())
         });
-        assert_eq!(result, Err(IpmiError::TimedOut));
-        assert_eq!(attempts, 4);
+        assert_eq!(out.result, Err(IpmiError::TimedOut));
+        assert_eq!(out.attempts, 4);
         assert_eq!(served.get(), 3 * (1 + 2 + 4 + 4));
     }
 

@@ -761,9 +761,10 @@ impl Machine {
     /// workload.
     ///
     /// A quantum that charges no time would spin forever; if that happens
-    /// the node is treated as idle for the rest of the epoch.
+    /// the node is treated as idle for the rest of the epoch. An epoch
+    /// must be finite and positive: an infinite one would never end.
     pub fn step(&mut self, dt_s: f64, w: &mut dyn EpochWorkload) {
-        assert!(dt_s > 0.0, "epoch must advance time");
+        assert!(dt_s > 0.0 && dt_s.is_finite(), "epoch must advance time by a finite span");
         assert_eq!(self.active_core, 0, "epoch stepping drives core 0");
         self.bmc.obs_mut().metrics.inc("machine.epochs");
         let target_ns = self.clock.now_ns() + dt_s * 1e9;
@@ -1201,6 +1202,21 @@ mod tests {
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::tiny(7))
+    }
+
+    /// Charges a little compute every quantum, so time always advances.
+    struct Spin;
+
+    impl EpochWorkload for Spin {
+        fn quantum(&mut self, m: &mut Machine) {
+            m.compute(300);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch must advance time by a finite span")]
+    fn an_infinite_epoch_is_rejected_instead_of_stepped_forever() {
+        machine().step(f64::INFINITY, &mut Spin);
     }
 
     #[test]

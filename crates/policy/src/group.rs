@@ -74,9 +74,9 @@ pub fn allocate(
             // only on the node's own demand and whole-set aggregates —
             // with integer-valued demands (DCMI readings are whole watts,
             // and integer sums below 2^53 are exact in f64) the result is
-            // identical no matter how a fleet partitions the input across
-            // group managers. That is the property the hierarchical fleet
-            // barrier's determinism contract leans on.
+            // identical no matter how a fleet gathers or orders the input.
+            // That is the property the fleet barrier's determinism
+            // contract leans on.
             let floored = |d: &f64| budget_w * d / total < floor_w;
             let n_f = demand_w.iter().filter(|d| floored(d)).count() as f64;
             let s_f: f64 = demand_w.iter().filter(|d| floored(d)).sum();

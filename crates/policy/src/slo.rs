@@ -13,8 +13,8 @@
 //!
 //! Determinism: both halves are pure functions of the view/demand slices.
 //! The group half runs serially at the root barrier over the full
-//! answering set (like every group policy), so serial ≡ parallel ≡ any
-//! shard count holds by construction. Tails come from each node's
+//! answering set (like every group policy), so serial ≡ parallel at any
+//! worker count holds by construction. Tails come from each node's
 //! request books, so the backend acts the same with obs on or off; with
 //! no traffic every `tail_ms` is 0.0 and the backend degrades to the
 //! ladder walk over proportional-to-demand allocation.

@@ -144,7 +144,6 @@ impl EmergencyConfig {
             workload: self.traffic.clone().workload(),
             control_period_us: 10.0,
             meter_window_s: 2e-4,
-            shards: None,
             plan,
             observe: true,
             invariants: capsim_chaos::InvariantConfig::default(),

@@ -17,7 +17,7 @@
 //!   compared on `FleetReport::slo_violations_per_joule`.
 //!
 //! Everything inherits the fleet determinism contract: the same scenario
-//! is byte-identical serial, parallel, and at any shard count.
+//! is byte-identical serial and parallel, at any worker count.
 
 pub mod arrival;
 pub mod emergency;

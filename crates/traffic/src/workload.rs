@@ -33,7 +33,7 @@
 //!   at a full queue, the workload exports the overflow through
 //!   [`EpochWorkload::drain_shed`]; the fleet barrier re-offers each
 //!   request to the least-loaded node in the group (serially, at the
-//!   root, so shard count cannot change the routing) and counts the
+//!   root, so the thread count cannot change the routing) and counts the
 //!   leftovers shed at their origin.
 //!
 //! Two robustness layers ride on top (see DESIGN.md §15):
@@ -618,7 +618,7 @@ impl TrafficWorkload {
     /// Run the AIMD and brownout controllers up to the machine's current
     /// simulated time. Decisions happen only at fixed control-period
     /// boundaries on the node's own clock and read only node-local state,
-    /// so they are identical under any shard count or thread count.
+    /// so they are identical under any thread count.
     fn control_tick(&mut self, m: &mut Machine) {
         let now = m.now_s();
         if let Some(a) = &mut self.aimd {

@@ -1,10 +1,10 @@
-//! The fleet engine's determinism contract: serial, parallel and ANY
-//! shard topology are bit-identical for the same configuration —
-//! per-node seeds, shard-local wire phases whose outcomes the root
-//! absorbs in registration order, serial control barrier. The telemetry
-//! event stream is part of the contract: same seed ⇒ byte-identical
-//! JSONL, pinned by a committed golden file
-//! (`CAPSIM_BLESS=1 cargo test --test fleet_determinism` to regenerate).
+//! The fleet engine's determinism contract: serial and parallel runs are
+//! bit-identical for the same configuration — per-node seeds, per-node
+//! wire phases whose outcomes the root absorbs in registration order,
+//! serial control barrier. The telemetry event stream is part of the
+//! contract: same seed ⇒ byte-identical JSONL, pinned by a committed
+//! golden file (`CAPSIM_BLESS=1 cargo test --test fleet_determinism` to
+//! regenerate).
 
 use std::path::PathBuf;
 
@@ -12,13 +12,8 @@ use capsim::ipmi::FaultSpec;
 use capsim::prelude::*;
 use proptest::prelude::*;
 
-fn build_sharded(
-    parallel: bool,
-    faults: FaultSpec,
-    seed: u64,
-    shards: Option<usize>,
-) -> FleetReport {
-    let mut b = FleetBuilder::new()
+fn build(parallel: bool, faults: FaultSpec, seed: u64) -> FleetReport {
+    FleetBuilder::new()
         .nodes(16)
         .epochs(5)
         .budget_w(16.0 * 132.0)
@@ -26,15 +21,9 @@ fn build_sharded(
         .faults(faults)
         .dead_node(11)
         .seed(seed)
-        .parallel(parallel);
-    if let Some(k) = shards {
-        b = b.shards(k);
-    }
-    b.build().run()
-}
-
-fn build(parallel: bool, faults: FaultSpec, seed: u64) -> FleetReport {
-    build_sharded(parallel, faults, seed, None)
+        .parallel(parallel)
+        .build()
+        .run()
 }
 
 #[test]
@@ -54,19 +43,6 @@ fn repeated_runs_reproduce_exactly() {
 }
 
 #[test]
-fn shard_topology_is_result_invariant() {
-    // The shard count only decides how wire work is split across group
-    // managers; the automatic default keys off the worker pool, so it
-    // MUST be result-invariant or results would vary by machine.
-    let auto = build(true, FaultSpec::lossy(0.05), 9);
-    for k in [1, 2, 7, 16] {
-        let sharded = build_sharded(true, FaultSpec::lossy(0.05), 9, Some(k));
-        assert_eq!(auto, sharded, "shards={k} changed the report");
-        assert_eq!(auto.render(), sharded.render());
-    }
-}
-
-#[test]
 fn different_seeds_diverge() {
     // Same topology, different seed: fault schedules and workload phases
     // shift, so the rendered trajectories must not collide.
@@ -78,8 +54,8 @@ fn different_seeds_diverge() {
 /// A small observed fleet with enough going on to exercise every event
 /// source: lossy links (retries/timeouts), a dead node (health
 /// transitions), caps pushed every epoch (DCMI + rung traffic).
-fn observed_events_jsonl_sharded(parallel: bool, shards: Option<usize>) -> String {
-    let mut b = FleetBuilder::new()
+fn observed_events_jsonl(parallel: bool) -> String {
+    FleetBuilder::new()
         .nodes(4)
         .epochs(3)
         .budget_w(4.0 * 128.0)
@@ -87,15 +63,12 @@ fn observed_events_jsonl_sharded(parallel: bool, shards: Option<usize>) -> Strin
         .dead_node(2)
         .seed(42)
         .parallel(parallel)
-        .observe(true);
-    if let Some(k) = shards {
-        b = b.shards(k);
-    }
-    b.build().run().obs.expect("observed run").events_jsonl()
-}
-
-fn observed_events_jsonl(parallel: bool) -> String {
-    observed_events_jsonl_sharded(parallel, None)
+        .observe(true)
+        .build()
+        .run()
+        .obs
+        .expect("observed run")
+        .events_jsonl()
 }
 
 #[test]
@@ -106,25 +79,15 @@ fn event_log_is_byte_identical_across_serial_and_parallel_runs() {
     assert_eq!(serial, parallel, "telemetry must obey the determinism contract");
 }
 
-#[test]
-fn event_log_is_byte_identical_across_shard_counts() {
-    // The golden stream is pinned against the automatic shard count;
-    // every explicit topology must produce the same bytes.
-    let auto = observed_events_jsonl(true);
-    for k in [1, 2, 3, 4] {
-        let sharded = observed_events_jsonl_sharded(true, Some(k));
-        assert_eq!(auto, sharded, "shards={k} changed the event stream");
-    }
-}
-
 proptest! {
     // Full-fleet simulations are expensive in debug mode; a handful of
     // random topologies over the whole configuration space is plenty.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For ANY fleet shape, fault rate and seed, every shard topology —
-    /// degenerate (1), uneven (2, 7), one-node shards (N) — yields an
-    /// identical report and byte-identical event stream.
+    /// For ANY fleet shape, fault rate and seed, the parallel fan-out
+    /// over nodes yields the serial run's report and byte-identical
+    /// event stream, whatever the worker pool's size (`ci.sh` reruns
+    /// this suite with more workers than cores).
     #[test]
     fn any_shard_topology_is_byte_identical(
         nodes in 2usize..10,
@@ -132,27 +95,22 @@ proptest! {
         seed in 0u64..1_000_000,
         loss_pct in 0u32..12,
     ) {
-        let run = |shards: Option<usize>| {
-            let mut b = FleetBuilder::new()
+        let run = |parallel: bool| {
+            FleetBuilder::new()
                 .nodes(nodes)
                 .epochs(epochs)
                 .seed(seed)
                 .faults(FaultSpec::lossy(f64::from(loss_pct) / 100.0))
-                .parallel(true)
-                .observe(true);
-            if let Some(k) = shards {
-                b = b.shards(k);
-            }
-            b.build().run()
+                .parallel(parallel)
+                .observe(true)
+                .build()
+                .run()
         };
-        let auto = run(None);
-        let auto_events = auto.obs.as_ref().expect("observed").events_jsonl();
-        for k in [1, 2, 7, nodes] {
-            let sharded = run(Some(k));
-            let events = sharded.obs.as_ref().expect("observed").events_jsonl();
-            prop_assert_eq!(&events, &auto_events, "shards={} changed the events", k);
-            prop_assert_eq!(sharded, auto.clone(), "shards={} changed the report", k);
-        }
+        let serial = run(false);
+        let parallel = run(true);
+        let events = parallel.obs.as_ref().expect("observed").events_jsonl();
+        prop_assert_eq!(&events, &serial.obs.as_ref().expect("observed").events_jsonl());
+        prop_assert_eq!(parallel, serial);
     }
 }
 

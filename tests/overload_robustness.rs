@@ -8,11 +8,12 @@
 //! - per-priority-class request conservation
 //!   (`arrivals_pC == completed_pC + shed_pC + in_flight_pC`) holds as
 //!   exact u64 equality with retries, failover, AIMD and brownout all
-//!   enabled, across shard counts (proptest; thread-count invariance is
+//!   enabled, for any seed (proptest; thread-count invariance is
 //!   asserted cross-process by `examples/backpressure.rs`),
 //! - quarantined (`Degraded`/`Unresponsive`) nodes receive zero failover
 //!   work (regression for the routing audit), and open circuit breakers
-//!   keep nodes out of the re-offer heap.
+//!   keep nodes out of the re-offer heap; the breaker count reads the
+//!   same with obs on and off.
 
 use std::path::PathBuf;
 
@@ -150,6 +151,8 @@ fn backpressure_converges_where_retry_only_collapses() {
 /// The fault windows (sensor dropout, BMC crash) drive poll-timeout and
 /// violation streaks at the barrier; the circuit breakers must actually
 /// move — and their transitions must be typed, node-attributed events.
+/// The breakers run on control state, so an unobserved run reports the
+/// same count.
 #[test]
 fn fault_windows_trip_circuit_breakers() {
     // The stock emergency's BMC crash heals within a single barrier, too
@@ -166,9 +169,19 @@ fn fault_windows_trip_circuit_breakers() {
     let obs = report.obs.as_ref().expect("scenario observes");
     let trips = obs.events.iter().filter(|e| e.kind.name() == "breaker_transition").count() as u64;
     assert_eq!(trips, transitions, "every transition is a typed event");
+    assert_eq!(obs.metrics.counter("fleet.breaker_transitions"), transitions);
     assert!(
         obs.events.iter().any(|e| e.kind.name() == "breaker_transition" && e.node.is_some()),
         "breaker events carry node attribution"
+    );
+
+    scenario.observe = false;
+    let unobserved = run_scenario(&scenario, true).report;
+    assert!(unobserved.obs.is_none());
+    assert_eq!(
+        unobserved.breaker_transitions(),
+        Some(transitions),
+        "the breaker count must not depend on observability"
     );
 }
 
@@ -210,25 +223,19 @@ fn quarantined_nodes_receive_zero_failover_requests() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For ANY seed and shard count in {1, 2, 7}, the full robustness
-    /// stack (retries + failover + AIMD + brownout + fault windows)
-    /// replays bit-identically serial vs parallel, and per-class
-    /// conservation holds as exact u64 equality.
+    /// For ANY seed, the full robustness stack (retries + failover +
+    /// AIMD + brownout + fault windows) replays bit-identically serial vs
+    /// parallel, and per-class conservation holds as exact u64 equality.
     #[test]
-    fn per_class_conservation_holds_for_any_seed_and_shard_count(
-        seed in 0u64..u64::MAX / 2,
-        shard_idx in 0usize..3,
-    ) {
-        let shards = [1usize, 2, 7][shard_idx];
+    fn per_class_conservation_holds_for_any_seed_and_shard_count(seed in 0u64..u64::MAX / 2) {
         let mut scenario = overload_config(true, 8, 6, seed).scenario();
         scenario.seed = seed;
-        scenario.shards = Some(shards);
         let serial = run_scenario(&scenario, false);
         let parallel = run_scenario(&scenario, true);
         prop_assert_eq!(
             serial.fingerprint(),
             parallel.fingerprint(),
-            "seed {} shards {} must replay", seed, shards
+            "seed {} must replay", seed
         );
         let p = serial.report.priority().expect("per-class accounting");
         let t = serial.report.traffic().expect("traffic series");

@@ -1,10 +1,9 @@
 //! The traffic layer's determinism and accounting contracts:
 //!
 //! - arrival processes are pure functions of `(curves, seed)` (proptest),
-//! - a request-serving fleet run is byte-identical serial vs parallel and
-//!   across shard counts (thread-count invariance is asserted
-//!   cross-process by the traffic bench, which re-execs itself under
-//!   different `CAPSIM_THREADS`),
+//! - a request-serving fleet run is byte-identical serial vs parallel
+//!   (thread-count invariance is asserted cross-process by the traffic
+//!   bench, which re-execs itself under different `CAPSIM_THREADS`),
 //! - the scripted flash-crowd scenario is pinned by a committed golden
 //!   file (`CAPSIM_BLESS=1 cargo test --test traffic_determinism` to
 //!   regenerate),
@@ -14,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use capsim::chaos::{run_scenario, ChaosScenario, FaultPlan, InvariantConfig};
+use capsim::chaos::{run_scenario, ChaosOutcome, ChaosScenario, FaultPlan, InvariantConfig};
 use capsim::dcm::fleet::{FleetBuilder, FleetReport};
 use capsim::policy::{CapPolicySpec, SloConfig};
 use capsim::traffic::{ArrivalCurve, ArrivalProcess, ClientSpec, EmergencyConfig, TrafficSpec};
@@ -56,32 +55,27 @@ proptest! {
 
 /// A small observed request-serving fleet: datacenter rate mix, hot
 /// nodes genuinely backlogged, cold nodes mostly idle.
-fn traffic_report(parallel: bool, shards: Option<usize>) -> FleetReport {
+fn traffic_report(parallel: bool) -> FleetReport {
     let spec = TrafficSpec::constant(30_000.0).datacenter_mix(true);
-    let mut b = FleetBuilder::new()
+    FleetBuilder::new()
         .nodes(9)
         .epochs(4)
         .seed(11)
         .parallel(parallel)
         .observe(true)
-        .workload(spec.workload());
-    if let Some(k) = shards {
-        b = b.shards(k);
-    }
-    b.build().run()
+        .workload(spec.workload())
+        .build()
+        .run()
 }
 
 #[test]
 fn traffic_fleet_is_byte_identical_serial_parallel_and_any_shard_count() {
-    let serial = traffic_report(false, None);
-    let serial_events = serial.obs.as_ref().expect("observed").events_jsonl();
+    let serial = traffic_report(false);
+    let parallel = traffic_report(true);
     assert!(serial.traffic().expect("traffic series recorded").completed > 0);
-    for k in [None, Some(1), Some(2), Some(7), Some(9)] {
-        let parallel = traffic_report(true, k);
-        let events = parallel.obs.as_ref().expect("observed").events_jsonl();
-        assert_eq!(parallel, serial, "shards={k:?} changed the report");
-        assert_eq!(events, serial_events, "shards={k:?} changed the event stream");
-    }
+    let events = |r: &FleetReport| r.obs.as_ref().expect("observed").events_jsonl();
+    assert_eq!(events(&parallel), events(&serial), "the parallel run changed the event stream");
+    assert_eq!(parallel, serial, "the parallel run changed the report");
 }
 
 /// The scripted flash-crowd scenario: a constant trickle with a hard
@@ -109,7 +103,6 @@ fn flash_crowd_scenario() -> ChaosScenario {
         workload: spec.workload(),
         control_period_us: 10.0,
         meter_window_s: 2e-4,
-        shards: None,
         plan: FaultPlan::none(),
         observe: true,
         invariants: InvariantConfig::default(),
@@ -169,7 +162,7 @@ fn flash_crowd_scenario_matches_the_committed_golden_file() {
 /// The scripted retry-storm scenario: the flash-crowd trace with
 /// closed-loop clients (timeouts, capped-backoff retries) and barrier
 /// failover. Pinned by its own golden file.
-fn retry_storm_scenario(shards: Option<usize>) -> ChaosScenario {
+fn retry_storm_scenario() -> ChaosScenario {
     let spec = TrafficSpec::from_curves(vec![
         ArrivalCurve::Constant { rps: 10_000.0 },
         ArrivalCurve::FlashCrowd {
@@ -193,7 +186,6 @@ fn retry_storm_scenario(shards: Option<usize>) -> ChaosScenario {
         workload: spec.workload(),
         control_period_us: 10.0,
         meter_window_s: 2e-4,
-        shards,
         plan: FaultPlan::none(),
         observe: true,
         invariants: InvariantConfig::default(),
@@ -203,7 +195,7 @@ fn retry_storm_scenario(shards: Option<usize>) -> ChaosScenario {
 
 #[test]
 fn retry_storm_scenario_matches_the_committed_golden_file() {
-    let outcome = run_scenario(&retry_storm_scenario(None), true);
+    let outcome = run_scenario(&retry_storm_scenario(), true);
     let obs = outcome.report.obs.as_ref().expect("scenario observes");
     let digest = format!("{}{}", obs.metrics.render(), obs.events_jsonl());
     assert_matches_golden("retry-storm", "retry_storm_events.jsonl", &digest);
@@ -211,18 +203,15 @@ fn retry_storm_scenario_matches_the_committed_golden_file() {
 
 #[test]
 fn retry_storm_is_byte_identical_across_engines_and_shard_counts() {
-    let serial = run_scenario(&retry_storm_scenario(None), false);
-    let serial_events = serial.report.obs.as_ref().expect("observed").events_jsonl();
-    for k in [None, Some(1), Some(2), Some(3)] {
-        let parallel = run_scenario(&retry_storm_scenario(k), true);
-        let events = parallel.report.obs.as_ref().expect("observed").events_jsonl();
-        assert_eq!(
-            parallel.fingerprint(),
-            serial.fingerprint(),
-            "shards={k:?} changed the retry-storm outcome"
-        );
-        assert_eq!(events, serial_events, "shards={k:?} changed the event stream");
-    }
+    let serial = run_scenario(&retry_storm_scenario(), false);
+    let parallel = run_scenario(&retry_storm_scenario(), true);
+    let events = |o: &ChaosOutcome| o.report.obs.as_ref().expect("observed").events_jsonl();
+    assert_eq!(
+        parallel.fingerprint(),
+        serial.fingerprint(),
+        "the parallel run changed the retry-storm outcome"
+    );
+    assert_eq!(events(&parallel), events(&serial), "the parallel run changed the event stream");
     let t = serial.report.traffic().expect("traffic series recorded");
     assert!(t.retries > 0, "the throttled spike must ignite retries");
     assert!(t.client_timeouts > 0, "retries imply client timeouts");
@@ -238,14 +227,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For ANY seed, a closed-loop retry storm with failover replays
-    /// bit-identically serial vs parallel at an arbitrary shard count,
-    /// and its request books close exactly.
+    /// bit-identically serial vs parallel, and its request books close
+    /// exactly.
     #[test]
-    fn retry_storms_replay_bit_identically_for_any_seed(
-        seed in 0u64..u64::MAX / 2,
-        shards in 1usize..=3,
-    ) {
-        let mut scenario = retry_storm_scenario(Some(shards));
+    fn retry_storms_replay_bit_identically_for_any_seed(seed in 0u64..u64::MAX / 2) {
+        let mut scenario = retry_storm_scenario();
         scenario.seed = seed;
         scenario.epochs = 6;
         let serial = run_scenario(&scenario, false);
@@ -253,7 +239,7 @@ proptest! {
         prop_assert_eq!(
             serial.fingerprint(),
             parallel.fingerprint(),
-            "seed {} shards {} must replay", seed, shards
+            "seed {} must replay", seed
         );
         let t = serial.report.traffic().expect("traffic series recorded");
         prop_assert_eq!(t.arrivals, t.completed + t.shed + t.in_flight);
@@ -275,7 +261,7 @@ fn flash_crowd_sheds_during_the_spike_and_replays_identically() {
 #[test]
 fn typed_accessors_agree_with_the_raw_snapshot() {
     use capsim::node::workload::traffic_keys as keys;
-    let report = traffic_report(true, None);
+    let report = traffic_report(true);
     let m = &report.obs.as_ref().expect("observed").metrics;
     let t = report.traffic().expect("traffic summary");
     assert_eq!(t.arrivals, m.counter(keys::ARRIVALS));
