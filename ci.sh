@@ -21,6 +21,10 @@ cargo clippy --workspace --benches --tests -q -- -D warnings
 echo "== cargo test (workspace)"
 cargo test --workspace -q
 
+echo "== capsim-mem again in release (its oracles check the cache/TLB fast paths"
+echo "   as the benchmark builds them: no debug assertions, wrapping shifts)"
+cargo test --release -q -p capsim-mem
+
 echo "== determinism suites again with more workers than cores (CAPSIM_THREADS=4):"
 echo "   goldens and serial == parallel must hold on an oversubscribed pool"
 CAPSIM_THREADS=4 cargo test --release -q --test fleet_determinism --test traffic_determinism \

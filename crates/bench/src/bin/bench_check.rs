@@ -15,7 +15,9 @@
 //!   with positive `nodes`, `threads` and
 //!   `node_epochs_per_sec` and a bool `parallel`; serial points
 //!   (`parallel: false`) also need positive `heap_bytes_per_node` and
-//!   `heap_bytes_per_node_after_run`,
+//!   `heap_bytes_per_node_after_run`; `speedup` must be within 0.01 of
+//!   the fastest parallel over the fastest serial row at `nodes` nodes
+//!   (1.0 when either is missing),
 //! * `BENCH_obs*`: `loads_per_sec_obs_off`, `loads_per_sec_obs_on`,
 //!   `overhead_pct`, `within_budget` — and `within_budget` must be true,
 //! * `BENCH_chaos*`: `soak_scenarios_per_sec` positive,
@@ -262,6 +264,31 @@ fn check_file(path: &str, errors: &mut Vec<String>) {
             Some(other) => errors
                 .push(format!("{path}: curve must be an array of scaling points, got {other:?}")),
             None => errors.push(format!("{path}: missing required key \"curve\"")),
+        }
+        if let (Some(Val::Num(nodes)), Some(Val::Num(speedup)), Some(Val::Arr(points))) =
+            (map.get("nodes"), map.get("speedup"), map.get("curve"))
+        {
+            let best = |parallel: bool| {
+                points
+                    .iter()
+                    .filter(|p| {
+                        p.get("nodes") == Some(&Val::Num(*nodes))
+                            && p.get("parallel") == Some(&Val::Bool(parallel))
+                    })
+                    .filter_map(|p| match p.get("node_epochs_per_sec") {
+                        Some(Val::Num(rate)) => Some(*rate),
+                        _ => None,
+                    })
+                    .fold(0.0, f64::max)
+            };
+            let (parallel, serial) = (best(true), best(false));
+            let want = if parallel > 0.0 && serial > 0.0 { parallel / serial } else { 1.0 };
+            if (speedup - want).abs() > 0.01 {
+                errors.push(format!(
+                    "{path}: speedup {speedup} is not the {nodes}-node curve's \
+                     parallel ÷ serial rate {want:.2}"
+                ));
+            }
         }
     } else if name.starts_with("BENCH_obs") {
         require_pos_num("loads_per_sec_obs_off", errors);
@@ -654,6 +681,25 @@ mod tests {
         let mut errors = Vec::new();
         check_file(fleet.to_str().unwrap(), &mut errors);
         assert!(errors.iter().any(|e| e.contains("curve[0].parallel")), "{errors:?}");
+        // The speedup of a record whose parallel rate came from another
+        // fleet size: 1598.1 (1k nodes) ÷ 760.5 (10k nodes) = 2.10, where
+        // the 10k-node rows give 1548.4 ÷ 760.5 = 2.04.
+        let mixed = "{\"nodes\": 10000, \"speedup\": 2.10, \"deterministic\": true, \
+             \"curve\": [{\"nodes\": 10000, \"threads\": 1, \"parallel\": false, \
+             \"node_epochs_per_sec\": 760.5, \"heap_bytes_per_node\": 11235.9, \
+             \"heap_bytes_per_node_after_run\": 13275.4}, \
+             {\"nodes\": 1000, \"threads\": 2, \"parallel\": true, \
+             \"node_epochs_per_sec\": 1598.1}, \
+             {\"nodes\": 10000, \"threads\": 2, \"parallel\": true, \
+             \"node_epochs_per_sec\": 1548.4}]}";
+        std::fs::write(&fleet, mixed).unwrap();
+        let mut errors = Vec::new();
+        check_file(fleet.to_str().unwrap(), &mut errors);
+        assert!(errors.iter().any(|e| e.contains("speedup 2.1 ")), "{errors:?}");
+        std::fs::write(&fleet, mixed.replace("2.10", "2.04")).unwrap();
+        let mut errors = Vec::new();
+        check_file(fleet.to_str().unwrap(), &mut errors);
+        assert!(errors.is_empty(), "{errors:?}");
         std::fs::write(&fleet, "{\"nodes\": 1, \"speedup\": 1.0, \"deterministic\": false}")
             .unwrap();
         let mut errors = Vec::new();

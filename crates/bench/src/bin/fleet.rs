@@ -231,8 +231,9 @@ fn main() {
         datacenter,
         lossy,
     };
-    // First entry is the like-for-like baseline the speedup is quoted
-    // against; the headline entry is the largest datacenter-mix run.
+    // First entry is the like-for-like baseline of the trajectory; the
+    // headline entry is the largest datacenter-mix run, and the speedup
+    // is taken at its node count.
     let points: Vec<Point> = if test_scale {
         vec![
             p(32, 4, 1, false, false, true),
@@ -292,14 +293,19 @@ fn main() {
         .iter()
         .max_by(|a, b| a.point.nodes.cmp(&b.point.nodes).then(a.rate.total_cmp(&b.rate)))
         .expect("nonempty");
-    let best_parallel =
-        measured.iter().filter(|m| m.point.parallel).map(|m| m.rate).fold(0.0, f64::max);
-    let best_serial = measured
-        .iter()
-        .filter(|m| !m.point.parallel && m.point.nodes == headline.point.nodes)
-        .map(|m| m.rate)
-        .fold(baseline.rate, f64::max);
-    let speedup = if best_parallel > 0.0 { best_parallel / best_serial } else { 1.0 };
+    // Speedup compares like with like: the fastest parallel and the
+    // fastest serial run, both at the headline node count (1.0 when
+    // either is missing). `bench_check` recomputes it from the curve.
+    let best_at = |parallel: bool| {
+        measured
+            .iter()
+            .filter(|m| m.point.parallel == parallel && m.point.nodes == headline.point.nodes)
+            .map(|m| m.rate)
+            .fold(0.0, f64::max)
+    };
+    let (best_parallel, best_serial) = (best_at(true), best_at(false));
+    let speedup =
+        if best_parallel > 0.0 && best_serial > 0.0 { best_parallel / best_serial } else { 1.0 };
 
     let mut curve = String::new();
     for (i, m) in measured.iter().enumerate() {

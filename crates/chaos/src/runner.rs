@@ -159,14 +159,18 @@ pub struct ChaosOutcome {
 }
 
 impl ChaosOutcome {
-    /// Byte-stable digest of the run: the rendered report plus, when
-    /// observability was on, the merged JSONL event log. Two runs of the
+    /// Byte-stable digest of the run: the rendered report, the request
+    /// books and the breaker-transition count, plus, when observability
+    /// was on, the merged JSONL event log and metrics. Two runs of the
     /// same scenario must produce identical fingerprints — serial or
     /// parallel.
     pub fn fingerprint(&self) -> String {
         let mut s = self.report.render();
+        s.push_str(&self.report.serving.render());
+        s.push_str(&format!("breaker_transitions {}\n", self.report.breaker_transitions));
         if let Some(obs) = &self.report.obs {
             s.push_str(&obs.events_jsonl());
+            s.push_str(&obs.metrics.render());
         }
         s
     }
@@ -287,6 +291,25 @@ mod tests {
         for (audit, truth) in report.outcome.sel_audits.iter().zip(&report.outcome.sel_truth) {
             assert_eq!(audit.as_deref(), Some(truth.as_slice()), "audit matches ground truth");
         }
+    }
+
+    #[test]
+    fn the_fingerprint_covers_the_request_books_breakers_and_metrics() {
+        let mut s = ChaosScenario::fast(3, 2, 4);
+        s.observe = true;
+        let mut outcome = run_scenario(&s, false);
+        // A batch fleet's books are empty; give this one a counter.
+        outcome.report.serving.counters.push((capsim_node::workload::traffic_keys::COMPLETED, 7));
+        let mut books = outcome.clone();
+        books.report.serving.counters[0].1 += 1;
+        assert_ne!(books.fingerprint(), outcome.fingerprint(), "request books");
+        let mut breakers = outcome.clone();
+        breakers.report.breaker_transitions += 1;
+        assert_ne!(breakers.fingerprint(), outcome.fingerprint(), "breaker transitions");
+        let mut metrics = outcome.clone();
+        let obs = metrics.report.obs.as_mut().expect("observed");
+        obs.metrics.counters.first_mut().expect("an obs counter").1 += 1;
+        assert_ne!(metrics.fingerprint(), outcome.fingerprint(), "obs metrics");
     }
 
     #[test]

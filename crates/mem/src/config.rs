@@ -39,6 +39,12 @@ impl CacheGeometry {
     pub fn validate(&self) {
         assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
         assert!(self.ways >= 1, "cache needs at least one way");
+        assert!(self.ways <= 64, "cache has {} ways; the way masks hold at most 64", self.ways);
+        assert!(
+            self.ways <= 32 || self.policy != ReplacementPolicy::TreePlru,
+            "cache has {} tree-PLRU ways; the set's u32 word holds the nodes of at most 32",
+            self.ways
+        );
         assert!(
             self.size_bytes.is_multiple_of(self.line_bytes * self.ways as u64),
             "size must be a multiple of line*ways"
@@ -66,6 +72,12 @@ impl TlbGeometry {
 
     pub fn validate(&self) {
         assert!(self.ways >= 1 && self.entries >= self.ways);
+        assert!(self.ways <= 64, "TLB has {} ways; the valid mask holds at most 64", self.ways);
+        assert!(
+            self.ways <= 32 || self.policy != ReplacementPolicy::TreePlru,
+            "TLB has {} tree-PLRU ways; the set's u32 word holds the nodes of at most 32",
+            self.ways
+        );
         assert_eq!(self.entries % self.ways, 0, "entries must divide into ways");
         assert!(self.sets().is_power_of_two(), "TLB set count must be a power of two");
     }
@@ -222,6 +234,50 @@ mod tests {
         assert!((ns(l2) - 3.5).abs() < 0.5);
         assert!((ns(l3) - 8.6).abs() < 0.6);
         assert!((ns(l3) + c.dram_ns - 60.0).abs() < 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache has 128 ways; the way masks hold at most 64")]
+    fn a_cache_wider_than_64_ways_is_rejected() {
+        let g = CacheGeometry {
+            size_bytes: 128 * 64,
+            line_bytes: 64,
+            ways: 128,
+            hit_cycles: 4,
+            policy: ReplacementPolicy::Lru,
+        };
+        g.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "TLB has 128 ways; the valid mask holds at most 64")]
+    fn a_tlb_wider_than_64_ways_is_rejected() {
+        let g = TlbGeometry { entries: 128, ways: 128, policy: ReplacementPolicy::Lru };
+        g.validate();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cache has 33 tree-PLRU ways; the set's u32 word holds the nodes of at most 32"
+    )]
+    fn a_tree_plru_cache_wider_than_32_ways_is_rejected() {
+        let g = CacheGeometry {
+            size_bytes: 33 * 64,
+            line_bytes: 64,
+            ways: 33,
+            hit_cycles: 4,
+            policy: ReplacementPolicy::TreePlru,
+        };
+        g.validate();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "TLB has 33 tree-PLRU ways; the set's u32 word holds the nodes of at most 32"
+    )]
+    fn a_tree_plru_tlb_wider_than_32_ways_is_rejected() {
+        let g = TlbGeometry { entries: 33, ways: 33, policy: ReplacementPolicy::TreePlru };
+        g.validate();
     }
 
     #[test]

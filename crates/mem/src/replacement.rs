@@ -127,8 +127,9 @@ impl FlatRepl {
     }
 
     /// Record a touch (hit or fill) of `way` in `set`, whose inline word
-    /// is `word`.
-    #[inline]
+    /// is `word`. Always inlined: it sits on every miss path and every
+    /// scanned hit, and its hot arms are a store or a table lookup.
+    #[inline(always)]
     pub(crate) fn touch(&mut self, set: usize, word: &mut u32, way: u32) {
         match self.policy {
             ReplacementPolicy::Lru => {
@@ -140,29 +141,35 @@ impl FlatRepl {
                 }
             }
             ReplacementPolicy::TreePlru => {
-                // Walk from the root to the leaf for `way`, setting each
-                // internal node to point *away* from the path taken.
                 if self.ways == 8 {
                     *word = (*word & !PLRU8_TOUCH.0[way as usize]) | PLRU8_TOUCH.1[way as usize];
                 } else {
-                    let mut lo = 0u32;
-                    let mut hi = self.ways;
-                    let mut node = 0u32;
-                    while hi - lo > 1 {
-                        let mid = lo + (hi - lo) / 2;
-                        if way < mid {
-                            *word |= 1 << node; // point right (away)
-                            node = 2 * node + 1;
-                            hi = mid;
-                        } else {
-                            *word &= !(1 << node); // point left (away)
-                            node = 2 * node + 2;
-                            lo = mid;
-                        }
-                    }
+                    Self::plru_touch_walk(self.ways, word, way);
                 }
             }
             ReplacementPolicy::Random => {}
+        }
+    }
+
+    /// Tree-PLRU touch for widths without a table: walk from the root to
+    /// the leaf for `way`, setting each internal node to point *away*
+    /// from the path taken. Kept out of line so `touch` stays small.
+    #[inline(never)]
+    fn plru_touch_walk(ways: u32, word: &mut u32, way: u32) {
+        let mut lo = 0u32;
+        let mut hi = ways;
+        let mut node = 0u32;
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if way < mid {
+                *word |= 1 << node; // point right (away)
+                node = 2 * node + 1;
+                hi = mid;
+            } else {
+                *word &= !(1 << node); // point left (away)
+                node = 2 * node + 2;
+                lo = mid;
+            }
         }
     }
 
@@ -181,8 +188,9 @@ impl FlatRepl {
     /// Choose a victim in `set` (inline word `word`) among ways
     /// `0..active_ways`.
     ///
-    /// `rng` supplies randomness for the `Random` policy (and is advanced
-    /// regardless, to keep streams aligned across policies in A/B tests).
+    /// `rng` supplies randomness for the `Random` policy and is advanced
+    /// only under it: LRU and tree-PLRU never read the stream, so no
+    /// result depends on whether they draw from it.
     #[inline]
     pub(crate) fn victim(
         &self,
@@ -191,7 +199,6 @@ impl FlatRepl {
         active_ways: u32,
         rng: &mut XorShift64,
     ) -> u32 {
-        let r = rng.next();
         debug_assert!(active_ways >= 1);
         match self.policy {
             ReplacementPolicy::Lru => {
@@ -231,7 +238,7 @@ impl FlatRepl {
                 // the active ways (hardware gating invalidates high ways).
                 leaf.min(active_ways - 1)
             }
-            ReplacementPolicy::Random => (r % active_ways as u64) as u32,
+            ReplacementPolicy::Random => (rng.next() % active_ways as u64) as u32,
         }
     }
 }

@@ -11,12 +11,21 @@ use crate::config::TlbGeometry;
 use crate::replacement::{FlatRepl, XorShift64};
 
 /// Per-set bookkeeping kept alongside the packed entry array: the valid
-/// way bitmask and the set's inline replacement word (see [`FlatRepl`]).
+/// way bitmask, the set's inline replacement word (see [`FlatRepl`]) and
+/// its MRU hint, which fills what would otherwise be padding.
 #[derive(Clone, Copy, Debug)]
 struct TlbSetMeta {
     valid: u64,
     repl: u32,
+    /// The way this set's last scanned hit found ([`NO_HINT`] after an
+    /// insert). [`Tlb::lookup`] tests it before scanning; it is trusted
+    /// only while that way is active and valid, so shrink and flushes
+    /// need not clear it.
+    mru: u32,
 }
+
+/// A hint no lookup trusts: no way index reaches it.
+const NO_HINT: u32 = u32::MAX;
 
 /// A set-associative TLB. Entry shrink removes whole ways (uniformly
 /// across sets), mirroring how SRAM banks gate.
@@ -47,7 +56,7 @@ impl Tlb {
             geom,
             active_ways: geom.ways,
             entries: vec![(0, 0); sets * geom.ways as usize],
-            meta: vec![TlbSetMeta { valid: 0, repl: repl.initial_word() }; sets],
+            meta: vec![TlbSetMeta { valid: 0, repl: repl.initial_word(), mru: NO_HINT }; sets],
             repl,
             set_mask: geom.sets() as u64 - 1,
             rng: XorShift64::new(seed),
@@ -68,16 +77,27 @@ impl Tlb {
     /// Look up `vpn`. On a hit returns the cached PPN; on a miss returns
     /// `None` (the caller performs the page walk and then calls
     /// [`Tlb::insert`]).
+    ///
+    /// A hit on the set's MRU way skips the scan and the replacement
+    /// update, exactly as in [`crate::SetAssocCache::access`].
     #[inline]
     pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
         self.lookups += 1;
         let si = (vpn & self.set_mask) as usize;
         let base = si * self.geom.ways as usize;
         let meta = &mut self.meta[si];
+        let mru = meta.mru;
+        if mru < self.active_ways && meta.valid >> mru & 1 != 0 {
+            let (v, ppn) = self.entries[base + mru as usize];
+            if v == vpn {
+                return Some(ppn);
+            }
+        }
         let row = &self.entries[base..base + self.active_ways as usize];
         for (way, &(v, ppn)) in row.iter().enumerate() {
             if meta.valid & (1u64 << way) != 0 && v == vpn {
                 self.repl.touch(si, &mut meta.repl, way as u32);
+                meta.mru = way as u32;
                 return Some(ppn);
             }
         }
@@ -86,6 +106,12 @@ impl Tlb {
     }
 
     /// Install a translation after a walk.
+    ///
+    /// Inserting a VPN that is already resident leaves a duplicate
+    /// (the hierarchy never does this; its callers insert after a miss),
+    /// and lookups must keep answering from the lowest matching way. So
+    /// an insert clears the set's hint, and the next lookup's scan sets
+    /// it to the way the scan finds.
     pub fn insert(&mut self, vpn: u64, ppn: u64) {
         let si = (vpn & self.set_mask) as usize;
         let active = self.active_ways;
@@ -96,6 +122,7 @@ impl Tlb {
         self.entries[si * self.geom.ways as usize + way as usize] = (vpn, ppn);
         meta.valid |= 1 << way;
         self.repl.touch(si, &mut meta.repl, way);
+        meta.mru = NO_HINT;
     }
 
     /// Shrink (or re-grow) the active entry count. `entries` is rounded
@@ -135,6 +162,11 @@ mod tests {
 
     fn tlb(entries: u32, ways: u32) -> Tlb {
         Tlb::new(TlbGeometry { entries, ways, policy: ReplacementPolicy::Lru }, 7)
+    }
+
+    #[test]
+    fn tlb_set_meta_keeps_the_hint_in_its_padding() {
+        assert_eq!(std::mem::size_of::<TlbSetMeta>(), 16);
     }
 
     #[test]
