@@ -15,8 +15,8 @@ if grep -rnE 'std::time|Instant::|thread::(spawn|sleep)' crates/*/src src tests 
   exit 1
 fi
 
-echo "== cargo clippy (workspace, benches, tests; warnings are errors)"
-cargo clippy --workspace --benches --tests -q -- -D warnings
+echo "== cargo clippy (workspace, every target incl. examples; warnings are errors)"
+cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "== cargo test (workspace)"
 cargo test --workspace -q

@@ -22,24 +22,22 @@
 //! Also here: the Hennessy–Patterson **stride microbenchmark** ([`stride`])
 //! behind Figures 3/4, an **unpredictable phased workload** ([`phased`])
 //! for future-work item 3, a **multi-core stereo** ([`stereo_par`]) for
-//! future-work item 1, and small calibration [`kernels`].
+//! future-work item 1, **CFAR target detection** ([`cfar`]) over a formed
+//! SAR image for the `mission_pipeline` example, and small calibration
+//! [`kernels`].
 
 pub mod cfar;
 pub mod kernels;
 pub mod phased;
-pub mod pulse;
 pub mod sar;
 pub mod stereo;
 pub mod stereo_par;
-pub mod stereo_wta;
 pub mod stride;
 pub mod workload;
 
 pub use cfar::CfarDetect;
-pub use pulse::PulseCompression;
 pub use sar::SireRsm;
 pub use stereo::StereoMatching;
 pub use stereo_par::ParallelStereo;
-pub use stereo_wta::StereoWta;
 pub use stride::{MountainPoint, StrideBench};
 pub use workload::{Workload, WorkloadOutput};

@@ -12,16 +12,15 @@
 //! * a randomized soak over seeded fault plans, reported as
 //!   scenarios/sec,
 //! * guardrail overhead on the BMC control path: compute throughput on
-//!   a capped machine with guardrails at their defaults vs
-//!   `set_guardrails(None)`. The budget is 5% — the failsafe, watchdog
-//!   and violation detector together must cost the hot path nothing
-//!   measurable.
+//!   a capped machine with guardrails on vs `set_guardrails(false)`.
+//!   The budget is 5% — the failsafe, watchdog and violation detector
+//!   together must cost the hot path nothing measurable.
 
 use std::time::Instant;
 
 use capsim_bench::Scale;
 use capsim_chaos::{check, soak, ChaosScenario, SoakConfig};
-use capsim_node::{GuardrailConfig, Machine, MachineConfig, PowerCap};
+use capsim_node::{Machine, MachineConfig, PowerCap};
 
 /// One timed compute pass on a capped machine, guardrails on or off.
 /// Returns outer iterations per second; each iteration spans several
@@ -29,7 +28,7 @@ use capsim_node::{GuardrailConfig, Machine, MachineConfig, PowerCap};
 fn compute_pass(iters: u64, guarded: bool) -> f64 {
     let mut m = Machine::new(MachineConfig::tiny(0));
     m.set_power_cap(Some(PowerCap::new(135.0).unwrap()));
-    m.set_guardrails(guarded.then(GuardrailConfig::default));
+    m.set_guardrails(guarded);
     let start = Instant::now();
     for _ in 0..iters {
         m.compute(2_000);

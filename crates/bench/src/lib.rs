@@ -17,6 +17,13 @@
 //! | `ext_phased` | X5: unpredictable workload under caps |
 //! | `ext_amenability` | X6: amenability score vs measured slowdown |
 //! | `ext_stlb` | X8: STLB fidelity check |
+//! | `perf_smoke` | hot-path throughput trajectory (`BENCH_hotpath.json`) |
+//! | `fleet` | fleet scaling: node-epochs/s over sizes and worker counts (`BENCH_fleet.json`) |
+//! | `telemetry` | observability overhead budget (`BENCH_obs.json`) |
+//! | `chaos` | scripted fault scenario, soak and guardrail overhead (`BENCH_chaos.json`) |
+//! | `policy` | capping-backend energy/performance frontier (`BENCH_policy.json`) |
+//! | `traffic` | SLO-per-joule power emergency and retry storm (`BENCH_traffic.json`) |
+//! | `bench_check` | validates the `BENCH_*.json` files' shape and required keys |
 //!
 //! Scale control: set `CAPSIM_SCALE=test` for a fast smoke run (minutes →
 //! seconds) and `CAPSIM_RUNS=n` to override the per-point run count.

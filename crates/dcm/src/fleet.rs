@@ -106,9 +106,10 @@ impl Transact for PumpedLink<'_> {
     }
 }
 
-// Workload construction moved to capsim-node's `workload` module (so the
+// Workload construction lives in capsim-node's `workload` module (so the
 // chaos and traffic layers can build workloads without depending on the
-// fleet engine); re-exported here to keep historical paths compiling.
+// fleet engine); `benchmark/` imports `capsim_dcm::WorkloadSpec` from
+// this re-export.
 pub use capsim_node::workload::{LoadKind, SyntheticLoad, WorkloadSpec};
 
 /// Wait budget per IPMI attempt, in BMC polls (scaled by the retry
@@ -720,7 +721,6 @@ impl FleetBuilder {
             violation_after: self.violation_after,
             ctrl: FleetCtrl::new(nodes.len()),
             breaker_transitions: 0,
-            next_epoch: 0,
             records: Vec::with_capacity(self.epochs as usize),
             dcm,
             nodes,
@@ -754,7 +754,7 @@ pub struct Fleet {
     ctrl: FleetCtrl,
     /// Breaker transitions so far (see [`FleetReport::breaker_transitions`]).
     breaker_transitions: u64,
-    next_epoch: u32,
+    /// One record per epoch stepped, so its length is the epoch count.
     records: Vec<EpochRecord>,
     dcm: Dcm,
     nodes: Vec<SimNode>,
@@ -771,7 +771,7 @@ impl Fleet {
 
     /// Epochs stepped so far.
     pub fn epochs_run(&self) -> u32 {
-        self.next_epoch
+        self.records.len() as u32
     }
 
     /// Configured epoch length in simulated seconds.
@@ -825,9 +825,7 @@ impl Fleet {
     /// record. [`Fleet::run`] is a loop over this; the chaos harness
     /// calls it directly so it can inject faults at epoch boundaries.
     pub fn step_epoch(&mut self) -> &EpochRecord {
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        let rec = self.run_epoch(epoch);
+        let rec = self.run_epoch(self.epochs_run());
         self.records.push(rec);
         self.records.last().expect("just pushed")
     }
@@ -1303,7 +1301,7 @@ impl Fleet {
         };
         FleetReport {
             nodes: self.nodes.len(),
-            epochs: self.next_epoch,
+            epochs: records.len() as u32,
             epoch_s: self.epoch_s,
             budget_w: self.budget_w,
             records,

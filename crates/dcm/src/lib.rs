@@ -29,5 +29,5 @@ pub use fleet::{
     NodeSummary, PriorityTraffic, PumpedLink, TrafficSummary, WorkloadSpec,
 };
 pub use manager::{CapPushOutcome, Dcm, NodeHealth, NodeId};
-pub use monitor::{read_sel, violation_count, FleetMonitor, PowerHistory};
+pub use monitor::{read_sel, violation_count};
 pub use train::{train_rl, EpisodeScore, RlTrainConfig, RlTrainReport};

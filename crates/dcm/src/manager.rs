@@ -173,19 +173,6 @@ impl Dcm {
         NodeId::from_index(self.nodes.len() - 1)
     }
 
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// All node handles, in registration order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.nodes.len()).map(NodeId::from_index).collect()
-    }
-
     /// The handle at a registration position (parallel-array bridging).
     pub fn id_at(&self, index: usize) -> Option<NodeId> {
         (index < self.nodes.len()).then(|| NodeId::from_index(index))
@@ -383,8 +370,7 @@ impl Dcm {
         self.absorb_power_poll(node, out)
     }
 
-    /// The DCMI limit this manager pushes for a cap of `watts` (group
-    /// managers build the same limit their root would).
+    /// The DCMI limit this manager pushes for a cap of `watts`.
     pub fn limit_for(&self, watts: f64) -> PowerLimit {
         PowerLimit {
             limit_w: watts.round() as u16,

@@ -1,122 +1,18 @@
-//! Fleet monitoring: power history, trend estimation and violation
-//! auditing via each node's SEL.
+//! Violation auditing via each node's SEL.
 //!
 //! DCM's dashboard function (§II-A: "gather system diagnostics
-//! information"): the manager polls DCMI power readings into per-node
-//! ring-buffer histories, computes moving averages and trends, and reads
-//! the SEL to audit how often caps were violated — the data-center-side
-//! view of the paper's "measured power above the cap" rows.
+//! information"): the manager reads each node's SEL back over IPMI and
+//! counts how often caps were violated — the data-center-side view of
+//! the paper's "measured power above the cap" rows. Power readings need
+//! no second store here: the fleet engine keeps each answering node's
+//! reading at every barrier in [`crate::EpochRecord::readings`].
 //!
-//! The monitor does no wire traffic itself: the caller polls with
-//! [`crate::Dcm::read_power`] (the fleet engine does so at every barrier)
-//! and feeds each reading to [`FleetMonitor::record`]. The SEL audit goes
-//! through the narrow [`Transact`] interface, with each command retried
-//! under a [`RetryPolicy`] so a dropped frame costs a retransmit, not a
-//! hole in the audit.
-
-use std::collections::VecDeque;
+//! The SEL audit goes through the narrow [`Transact`] interface, with
+//! each command retried under a [`RetryPolicy`] so a dropped frame costs
+//! a retransmit, not a hole in the audit.
 
 use capsim_ipmi::sel::{get_sel_entry_request, get_sel_info_request, SelEntry};
 use capsim_ipmi::{transact_retry, IpmiError, RetryPolicy, SelEventType, Transact};
-
-use crate::manager::{Dcm, NodeId};
-
-/// Bounded power history for one node.
-#[derive(Clone, Debug)]
-pub struct PowerHistory {
-    samples: VecDeque<f64>,
-    capacity: usize,
-}
-
-impl PowerHistory {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 2);
-        PowerHistory { samples: VecDeque::with_capacity(capacity), capacity }
-    }
-
-    pub fn push(&mut self, watts: f64) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(watts);
-    }
-
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean of the stored window.
-    pub fn mean(&self) -> Option<f64> {
-        (!self.samples.is_empty())
-            .then(|| self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-    }
-
-    /// Least-squares slope in watts per sample: positive = ramping up.
-    pub fn trend_w_per_sample(&self) -> Option<f64> {
-        let n = self.samples.len();
-        if n < 2 {
-            return None;
-        }
-        let nf = n as f64;
-        let mean_x = (nf - 1.0) / 2.0;
-        let mean_y = self.mean().expect("non-empty");
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (i, &y) in self.samples.iter().enumerate() {
-            let dx = i as f64 - mean_x;
-            num += dx * (y - mean_y);
-            den += dx * dx;
-        }
-        Some(num / den)
-    }
-}
-
-/// The monitoring layer over a [`Dcm`].
-pub struct FleetMonitor {
-    histories: Vec<PowerHistory>,
-    window: usize,
-}
-
-impl FleetMonitor {
-    pub fn new(nodes: usize, window: usize) -> Self {
-        FleetMonitor { histories: (0..nodes).map(|_| PowerHistory::new(window)).collect(), window }
-    }
-
-    /// Size the monitor to a manager's current registration set.
-    pub fn for_dcm(dcm: &Dcm, window: usize) -> Self {
-        Self::new(dcm.len(), window)
-    }
-
-    /// Record a reading obtained elsewhere (the fleet engine polls nodes
-    /// itself at each barrier and feeds the monitor). A node registered
-    /// after the monitor was built gets a fresh history on its first
-    /// reading.
-    pub fn record(&mut self, node: NodeId, watts: f64) {
-        let i = node.index();
-        if i >= self.histories.len() {
-            self.histories.resize_with(i + 1, || PowerHistory::new(self.window));
-        }
-        self.histories[i].push(watts);
-    }
-
-    pub fn history(&self, node: NodeId) -> &PowerHistory {
-        &self.histories[node.index()]
-    }
-
-    /// Nodes whose recent mean exceeds `budget_w` (rebalancing candidates).
-    pub fn hotspots(&self, budget_w: f64) -> Vec<NodeId> {
-        self.histories
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.mean().is_some_and(|m| m > budget_w))
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect()
-    }
-}
 
 /// Read a node's full SEL through any [`Transact`] link, retrying each
 /// command under `retry` (a dropped or corrupted frame costs a
@@ -178,58 +74,6 @@ pub fn violation_count(entries: &[SelEntry]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn history_is_bounded_and_averages() {
-        let mut h = PowerHistory::new(4);
-        for w in [100.0, 110.0, 120.0, 130.0, 140.0] {
-            h.push(w);
-        }
-        assert_eq!(h.len(), 4);
-        assert_eq!(h.mean(), Some(125.0));
-    }
-
-    #[test]
-    fn trend_detects_ramps() {
-        let mut up = PowerHistory::new(10);
-        let mut flat = PowerHistory::new(10);
-        for i in 0..10 {
-            up.push(100.0 + i as f64 * 5.0);
-            flat.push(150.0);
-        }
-        assert!((up.trend_w_per_sample().unwrap() - 5.0).abs() < 1e-9);
-        assert!(flat.trend_w_per_sample().unwrap().abs() < 1e-9);
-        assert!(PowerHistory::new(2).trend_w_per_sample().is_none());
-    }
-
-    #[test]
-    fn hotspots_pick_the_right_nodes() {
-        let mut dcm = Dcm::new();
-        let ids: Vec<NodeId> = (0..3).map(|i| dcm.register(format!("n{i}"))).collect();
-        let mut m = FleetMonitor::for_dcm(&dcm, 4);
-        for (&id, w) in ids.iter().zip([120.0, 155.0, 130.0]) {
-            m.record(id, w);
-        }
-        assert_eq!(m.hotspots(140.0), vec![ids[1]]);
-        assert_eq!(m.hotspots(160.0), Vec::<NodeId>::new());
-    }
-
-    #[test]
-    fn record_adopts_nodes_registered_after_the_monitor_was_built() {
-        let mut dcm = Dcm::new();
-        let n0 = dcm.register("n0");
-        let mut m = FleetMonitor::for_dcm(&dcm, 4);
-        let n1 = dcm.register("n1");
-        let n2 = dcm.register("n2");
-        // Late registrations get fresh histories, whatever order their
-        // readings arrive in.
-        m.record(n2, 150.0);
-        m.record(n0, 120.0);
-        m.record(n1, 130.0);
-        assert_eq!(m.history(n2).mean(), Some(150.0));
-        assert_eq!(m.history(n1).len(), 1);
-        assert_eq!(m.hotspots(140.0), vec![n2]);
-    }
 
     /// Minimal in-memory SEL server mirroring the BMC's GET_SEL_INFO /
     /// GET_SEL_ENTRY handler, so the audit path can be exercised against a

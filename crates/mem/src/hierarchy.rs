@@ -11,7 +11,7 @@
 //! in [`MemStats::writebacks`]/[`MemStats::dram_writes`] but is not charged
 //! to the demand access's latency (real write buffers hide it).
 
-use crate::addr::{PAddr, VAddr, LINE_BYTES};
+use crate::addr::{PAddr, VAddr};
 use crate::cache::{AccessKind, SetAssocCache};
 use crate::config::HierarchyConfig;
 use crate::dram::DramModel;
@@ -433,37 +433,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Batched sequential access: one [`Self::data_access`] per line over
-    /// `[base, base + bytes)`, summing latencies and OR-ing the miss flags.
-    /// Streaming callers (warm-up passes, SAR-style kernels) amortize the
-    /// per-call dispatch over the whole range.
-    pub fn access_range(
-        &mut self,
-        core: CoreId,
-        base: VAddr,
-        bytes: u64,
-        write: bool,
-    ) -> AccessOutcome {
-        let mut total = AccessOutcome::default();
-        let mut off = 0;
-        while off < bytes {
-            let out = self.data_access(core, base.add(off), write);
-            total.cycles += out.cycles;
-            total.ns += out.ns;
-            total.l1_miss |= out.l1_miss;
-            total.l2_miss |= out.l2_miss;
-            total.l3_miss |= out.l3_miss;
-            total.tlb_miss |= out.tlb_miss;
-            off += LINE_BYTES;
-        }
-        total
-    }
-
-    /// Touch a whole virtual range for warm-up (one read per line).
-    pub fn warm_range(&mut self, core: CoreId, base: VAddr, bytes: u64) {
-        self.access_range(core, base, bytes, false);
-    }
-
     /// Flush all caches and TLBs (machine reset between runs).
     pub fn flush_all(&mut self) {
         for c in &mut self.cores {
@@ -683,34 +652,6 @@ mod tests {
         let out = m.data_access(0, VAddr(0x102_080), false);
         assert!(out.tlb_miss, "gated-away entry must miss the DTLB");
         assert_eq!(m.stats(0).dtlb_misses, misses + 1);
-    }
-
-    #[test]
-    fn access_range_matches_per_line_loop() {
-        let mut batched = h();
-        let mut serial = h();
-        let base = VAddr(0x300_000);
-        let bytes = 4 * 4096 + 130; // partial trailing line included
-        let got = batched.access_range(0, base, bytes, false);
-        let mut want = AccessOutcome::default();
-        let mut off = 0;
-        while off < bytes {
-            let out = serial.data_access(0, base.add(off), false);
-            want.cycles += out.cycles;
-            want.ns += out.ns;
-            want.l1_miss |= out.l1_miss;
-            want.l2_miss |= out.l2_miss;
-            want.l3_miss |= out.l3_miss;
-            want.tlb_miss |= out.tlb_miss;
-            off += 64;
-        }
-        assert_eq!(got.cycles, want.cycles);
-        assert_eq!(got.ns.to_bits(), want.ns.to_bits());
-        assert_eq!(
-            (got.l1_miss, got.l2_miss, got.l3_miss, got.tlb_miss),
-            (want.l1_miss, want.l2_miss, want.l3_miss, want.tlb_miss)
-        );
-        assert_eq!(batched.stats(0), serial.stats(0));
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! model with its gating multiplier are restated here.
 //!
 //! Both run the same proptest streams of loads, stores, fetches and
-//! ranges over one or two cores, on the E5, tiny and STLB geometries
-//! and on a tiny one with every replacement policy swapped. Way gating,
-//! TLB shrink and memory gating are applied at random points
-//! mid-stream, and so is `flush_all`. After every op the outcome
-//! (cycles, the bits of `ns`, the miss flags and `paddr`), every core's
-//! `MemStats` and the applied reconfiguration must agree.
+//! line-by-line streaming runs over one or two cores, on the E5, tiny
+//! and STLB geometries and on a tiny one with every replacement policy
+//! swapped. Way gating, TLB shrink and memory gating are applied at
+//! random points mid-stream, and so is `flush_all`. After every op the
+//! outcome (cycles, the bits of `ns`, the miss flags and `paddr`), every
+//! core's `MemStats` and the applied reconfiguration must agree.
 
 use proptest::prelude::*;
 
@@ -292,20 +292,6 @@ impl RefHierarchy {
         }
     }
 
-    fn access_range(&mut self, core: usize, base: VAddr, bytes: u64, write: bool) -> AccessOutcome {
-        let mut total = AccessOutcome::default();
-        for off in (0..bytes).step_by(64) {
-            let out = self.data_access(core, VAddr(base.0 + off), write);
-            total.cycles += out.cycles;
-            total.ns += out.ns;
-            total.l1_miss |= out.l1_miss;
-            total.l2_miss |= out.l2_miss;
-            total.l3_miss |= out.l3_miss;
-            total.tlb_miss |= out.tlb_miss;
-        }
-        total
-    }
-
     /// Gate ways and TLB entries of every core and the L3, and set the
     /// DRAM gate. Gated-off lines are dropped: their dirty data is
     /// counted inside each cache, not in any core's `MemStats`.
@@ -454,12 +440,17 @@ fn lockstep(geom: u8, n_cores: usize, seed: u64, salt: u64, ops: &[RawOp]) {
                 assert_same(&fast.fetch_access(core, v), &slow.fetch_access(core, v), &ctx);
             }
             26..=27 => {
+                // A streaming run: one access per line, compared line by line.
                 let (v, bytes, write) = (vaddr(a, pages), b % 1024, b & 2 == 2);
-                assert_same(
-                    &fast.access_range(core, v, bytes, write),
-                    &slow.access_range(core, v, bytes, write),
-                    &ctx,
-                );
+                for off in (0..bytes).step_by(64) {
+                    let v = VAddr(v.0 + off);
+                    assert_same(
+                        &fast.data_access(core, v, write),
+                        &slow.data_access(core, v, write),
+                        &ctx,
+                    );
+                    assert_stats(&fast, &slow, &ctx);
+                }
             }
             28..=30 => {
                 let r = reconfig(&cfg, a, b);
@@ -471,9 +462,13 @@ fn lockstep(geom: u8, n_cores: usize, seed: u64, salt: u64, ops: &[RawOp]) {
                 slow.flush_all();
             }
         }
-        for (c, rc) in slow.cores.iter().enumerate() {
-            assert_eq!(fast.stats(c), rc.stats, "core {c} stats: {}", ctx());
-        }
+        assert_stats(&fast, &slow, &ctx);
+    }
+}
+
+fn assert_stats(fast: &MemoryHierarchy, slow: &RefHierarchy, ctx: &dyn Fn() -> String) {
+    for (c, rc) in slow.cores.iter().enumerate() {
+        assert_eq!(fast.stats(c), rc.stats, "core {c} stats: {}", ctx());
     }
 }
 

@@ -74,46 +74,26 @@ impl PowerCap {
     }
 }
 
-/// Tunables for the BMC guardrails: the failsafe rung floor, the stale
-/// telemetry watchdog, and the cap-violation detector.
-///
-/// All thresholds count consecutive control samples, so their wall-clock
-/// meaning scales with the machine's control period.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GuardrailConfig {
-    /// Window averages above this are implausible for a single node.
-    pub implausible_max_w: f64,
-    /// Die temperatures above this are implausible (sensor fault).
-    pub implausible_max_temp_c: f64,
-    /// Consecutive implausible samples before the failsafe engages.
-    pub implausible_after: u32,
-    /// Consecutive frozen-timestamp samples (with an active cap) before
-    /// the failsafe engages; 0 disables stale detection.
-    pub stale_after: u32,
-    /// Consecutive fresh, plausible samples before the failsafe releases.
-    pub release_after: u32,
-    /// Rung pinned while the failsafe holds; `None` means the deepest.
-    pub failsafe_rung: Option<usize>,
-    /// Consecutive over-cap samples before a cap-violation event fires.
-    pub violation_after: u32,
-    /// Consecutive under-cap samples before the violation episode ends.
-    pub violation_clear_after: u32,
-}
+// Guardrail thresholds: the failsafe rung floor (which always pins the
+// deepest rung), the stale-telemetry watchdog and the cap-violation
+// detector. The counts are consecutive control samples, so their
+// wall-clock meaning scales with the machine's control period.
 
-impl Default for GuardrailConfig {
-    fn default() -> Self {
-        GuardrailConfig {
-            implausible_max_w: 1000.0,
-            implausible_max_temp_c: 120.0,
-            implausible_after: 3,
-            stale_after: 32,
-            release_after: 8,
-            failsafe_rung: None,
-            violation_after: 16,
-            violation_clear_after: 8,
-        }
-    }
-}
+/// Window averages above this are implausible for a single node.
+const IMPLAUSIBLE_MAX_W: f64 = 1000.0;
+/// Die temperatures above this are implausible (sensor fault).
+const IMPLAUSIBLE_MAX_TEMP_C: f64 = 120.0;
+/// Consecutive implausible samples before the failsafe engages.
+const IMPLAUSIBLE_AFTER: u32 = 3;
+/// Consecutive frozen-timestamp samples (with an active cap) before the
+/// failsafe engages.
+const STALE_AFTER: u32 = 32;
+/// Consecutive fresh, plausible samples before the failsafe releases.
+const RELEASE_AFTER: u32 = 8;
+/// Consecutive over-cap samples before a cap-violation event fires.
+const VIOLATION_AFTER: u32 = 16;
+/// Consecutive under-cap samples before the violation episode ends.
+const VIOLATION_CLEAR_AFTER: u32 = 8;
 
 /// Telemetry the machine exposes to the BMC each control tick (and that
 /// the BMC forwards over IPMI).
@@ -162,8 +142,8 @@ pub struct Bmc {
     sel: SystemEventLog,
     chassis_on: bool,
     floor_logged: bool,
-    /// Guardrail tunables; `None` switches every guardrail off.
-    guard: Option<GuardrailConfig>,
+    /// Whether the guardrails run at all (on by default).
+    guardrails: bool,
     /// Failsafe rung floor currently engaged (untrusted telemetry).
     failsafe: bool,
     implausible_streak: u32,
@@ -211,7 +191,7 @@ impl Bmc {
             sel: SystemEventLog::new(),
             chassis_on: true,
             floor_logged: false,
-            guard: Some(GuardrailConfig::default()),
+            guardrails: true,
             failsafe: false,
             implausible_streak: 0,
             stale_streak: 0,
@@ -241,10 +221,11 @@ impl Bmc {
         self.policy.as_ref()
     }
 
-    /// Replace the guardrail tunables; `None` disables all guardrails.
-    pub fn set_guardrails(&mut self, guard: Option<GuardrailConfig>) {
-        self.guard = guard;
-        if guard.is_none() {
+    /// Switch every guardrail on or off (switching off also ends any
+    /// failsafe or violation episode in progress).
+    pub fn set_guardrails(&mut self, on: bool) {
+        self.guardrails = on;
+        if !on {
             self.failsafe = false;
             self.implausible_streak = 0;
             self.stale_streak = 0;
@@ -253,11 +234,6 @@ impl Bmc {
             self.under_streak = 0;
             self.violating = false;
         }
-    }
-
-    /// The active guardrail tunables, if any.
-    pub fn guardrails(&self) -> Option<&GuardrailConfig> {
-        self.guard.as_ref()
     }
 
     /// Whether the failsafe rung floor is currently engaged.
@@ -438,24 +414,26 @@ impl Bmc {
     /// Guardrail bookkeeping for one control sample. Returns `false` when
     /// the sample is implausible and must not feed the control loop.
     fn update_guardrails(&mut self, t: &BmcTelemetry, fresh: bool) -> bool {
-        let Some(g) = self.guard else { return true };
+        if !self.guardrails {
+            return true;
+        }
         let implausible = !t.window_avg_w.is_finite()
             || t.window_avg_w <= 0.0
-            || t.window_avg_w > g.implausible_max_w
+            || t.window_avg_w > IMPLAUSIBLE_MAX_W
             || !t.die_temp_c.is_finite()
-            || t.die_temp_c > g.implausible_max_temp_c;
+            || t.die_temp_c > IMPLAUSIBLE_MAX_TEMP_C;
         self.implausible_streak = if implausible { self.implausible_streak + 1 } else { 0 };
         let stale = self.cap_active && !fresh;
         self.stale_streak = if stale { self.stale_streak + 1 } else { 0 };
         if !self.failsafe {
-            if self.implausible_streak >= g.implausible_after {
+            if self.implausible_streak >= IMPLAUSIBLE_AFTER {
                 self.engage_failsafe("implausible_reading", t);
-            } else if g.stale_after > 0 && self.stale_streak >= g.stale_after {
+            } else if self.stale_streak >= STALE_AFTER {
                 self.engage_failsafe("stale_telemetry", t);
             }
         } else if !implausible && fresh {
             self.plausible_streak += 1;
-            if self.plausible_streak >= g.release_after {
+            if self.plausible_streak >= RELEASE_AFTER {
                 self.failsafe = false;
                 self.plausible_streak = 0;
                 self.obs.events.record(t.now_ms * 1e-3, EventKind::FailsafeReleased);
@@ -486,11 +464,13 @@ impl Bmc {
     /// (typed event, no SEL traffic — the DCMI correction-time path owns
     /// the SEL paper trail); sustained under-cap samples close it.
     fn track_violation(&mut self, cap: f64, avg: f64, now_s: f64) {
-        let Some(g) = self.guard else { return };
+        if !self.guardrails {
+            return;
+        }
         if avg > cap {
             self.viol_streak += 1;
             self.under_streak = 0;
-            if !self.violating && self.viol_streak >= g.violation_after {
+            if !self.violating && self.viol_streak >= VIOLATION_AFTER {
                 self.violating = true;
                 self.obs.metrics.inc("bmc.cap_violations");
                 self.obs
@@ -500,7 +480,7 @@ impl Bmc {
         } else {
             self.under_streak += 1;
             self.viol_streak = 0;
-            if self.violating && self.under_streak >= g.violation_clear_after {
+            if self.violating && self.under_streak >= VIOLATION_CLEAR_AFTER {
                 self.violating = false;
                 self.obs.events.record(now_s, EventKind::CapViolationEnded { cap_w: cap });
             }
@@ -520,8 +500,7 @@ impl Bmc {
         self.last_telemetry = telemetry;
         let now_s = telemetry.now_ms * 1e-3;
         if self.failsafe {
-            let floor =
-                self.guard.and_then(|g| g.failsafe_rung).unwrap_or_else(|| self.ladder.deepest());
+            let floor = self.ladder.deepest();
             if self.rung < floor {
                 let from = self.rung as u32;
                 self.rung = floor;
@@ -1095,11 +1074,10 @@ mod tests {
     fn sensor_dropout_engages_the_failsafe_floor_and_releases() {
         let mut b = bmc();
         b.set_cap(Some(PowerCap::new(120.0).unwrap()));
-        let g = *b.guardrails().unwrap();
         let mut t_ms = 0.0;
         // Dropout: zero-watt readings are implausible; after the debounce
         // the failsafe pins the deepest rung in a single move.
-        for _ in 0..g.implausible_after {
+        for _ in 0..IMPLAUSIBLE_AFTER {
             t_ms += 1.0;
             b.control(fresh(0.0, t_ms));
         }
@@ -1108,7 +1086,7 @@ mod tests {
         assert!(b.sel().iter().any(|e| e.event == SelEventType::FailsafeEngaged));
         // Plausible, fresh samples release it; the releasing tick already
         // resumes the normal loop, which de-escalates one rung per tick.
-        for _ in 0..g.release_after {
+        for _ in 0..RELEASE_AFTER {
             t_ms += 1.0;
             b.control(fresh(110.0, t_ms));
         }
@@ -1151,14 +1129,13 @@ mod tests {
         let mut b = bmc();
         b.enable_obs(64);
         b.set_cap(Some(PowerCap::new(120.0).unwrap()));
-        let g = *b.guardrails().unwrap();
         let mut t_ms = 0.0;
-        for _ in 0..g.violation_after {
+        for _ in 0..VIOLATION_AFTER {
             t_ms += 1.0;
             b.control(fresh(124.0, t_ms));
         }
         assert!(b.cap_violating());
-        for _ in 0..g.violation_clear_after {
+        for _ in 0..VIOLATION_CLEAR_AFTER {
             t_ms += 1.0;
             b.control(fresh(110.0, t_ms));
         }

@@ -34,7 +34,7 @@ pub mod workload;
 
 pub use capsim_policy as policy;
 
-pub use bmc::{Bmc, BmcTelemetry, GuardrailConfig, InvalidPowerCap, PowerCap};
+pub use bmc::{Bmc, BmcTelemetry, InvalidPowerCap, PowerCap};
 pub use builder::MachineBuilder;
 pub use config::MachineConfig;
 pub use ladder::{Rung, ThrottleLadder};

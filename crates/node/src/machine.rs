@@ -36,13 +36,11 @@
 use capsim_cpu::{CounterFile, FreqMeter, GsharePredictor, PStateTable, SimClock, TimingParams};
 use capsim_ipmi::BmcPort;
 use capsim_mem::{MemStats, MemoryHierarchy, VAddr, PAGE_SIZE};
-use capsim_power::{
-    ActivityWindow, EnergyIntegrator, NodePowerModel, PowerMeter, RaplCounters, ThermalModel,
-};
+use capsim_power::{ActivityWindow, NodePowerModel, PowerMeter, RaplCounters, ThermalModel};
 
 use capsim_obs::{EventKind, Metrics};
 
-use crate::bmc::{Bmc, BmcTelemetry, GuardrailConfig, PowerCap};
+use crate::bmc::{Bmc, BmcTelemetry, PowerCap};
 use crate::config::MachineConfig;
 use crate::ladder::{Rung, ThrottleLadder};
 use crate::region::{CodeBlock, Region};
@@ -274,7 +272,6 @@ pub struct Machine {
     freq_meter: FreqMeter,
     power_model: NodePowerModel,
     meter: PowerMeter,
-    energy: EnergyIntegrator,
     rapl: RaplCounters,
     thermal: ThermalModel,
     // Control-loop bookkeeping.
@@ -346,7 +343,6 @@ impl Machine {
             freq_meter: FreqMeter::new(),
             power_model: NodePowerModel::new(cfg.power),
             meter: PowerMeter::new(cfg.meter_window_s),
-            energy: EnergyIntegrator::new(),
             rapl: RaplCounters::new(),
             thermal: ThermalModel::e5_2680(),
             tick_period_ns,
@@ -779,13 +775,6 @@ impl Machine {
         }
     }
 
-    /// Advance the machine by `dt_s` with no work at all (an idle node in
-    /// a fleet epoch). Control ticks still fire, so the BMC stays
-    /// responsive and power windows record idle draw.
-    pub fn step_idle(&mut self, dt_s: f64) {
-        self.idle(dt_s);
-    }
-
     #[inline]
     fn next_rng(&mut self) -> u64 {
         let mut x = self.rng_state;
@@ -841,7 +830,6 @@ impl Machine {
             obs.metrics.observe("machine.window_w", &POWER_W_BOUNDS, watts);
         }
         self.meter.record(window_s, watts);
-        self.energy.add(window_s, watts);
         self.rapl.add(&breakdown, window_s);
         if let Some(trace) = &mut self.trace {
             trace.push(TraceSample {
@@ -1011,10 +999,10 @@ impl Machine {
         self.bmc.poll_would_repeat()
     }
 
-    /// Replace the BMC guardrail tunables (`None` disables guardrails —
-    /// the overhead benchmark's baseline).
-    pub fn set_guardrails(&mut self, guard: Option<GuardrailConfig>) {
-        self.bmc.set_guardrails(guard);
+    /// Switch the BMC guardrails on or off (off is the overhead
+    /// benchmark's baseline).
+    pub fn set_guardrails(&mut self, on: bool) {
+        self.bmc.set_guardrails(on);
     }
 
     /// Whether the BMC failsafe rung floor is currently engaged.
@@ -1077,27 +1065,14 @@ impl Machine {
             // Flush the trailing partial window so energy covers the run.
             self.tick();
         }
-        let mut counters = CounterFile::default();
-        for core in &mut self.cores {
-            core.counters.unhalted_cycles = core.unhalted_cycles_f.round() as u64;
-            let c = &core.counters;
-            counters.instructions_committed += c.instructions_committed;
-            counters.instructions_executed += c.instructions_executed;
-            counters.loads += c.loads;
-            counters.stores += c.stores;
-            counters.spec_loads += c.spec_loads;
-            counters.branches += c.branches;
-            counters.branch_mispredicts += c.branch_mispredicts;
-            counters.unhalted_cycles += c.unhalted_cycles;
-        }
         RunStats {
             wall_s: self.clock.now_s(),
-            energy_j: self.energy.joules(),
+            energy_j: self.meter.energy_j(),
             avg_power_w: self.meter.run_avg_w(),
             avg_freq_mhz: self.freq_meter.avg_mhz(),
             min_power_w: if self.min_power_w.is_finite() { self.min_power_w } else { 0.0 },
             max_power_w: self.max_power_w,
-            counters,
+            counters: self.counters_now(),
             mem: self.hier.total_stats(),
             die_temp_c: self.thermal.temp_c(),
             bmc_stats: self.bmc.control_stats(),
@@ -1188,11 +1163,6 @@ impl Machine {
         let mut c = self.cores[core].counters;
         c.unhalted_cycles = self.cores[core].unhalted_cycles_f.round() as u64;
         c
-    }
-
-    /// Memory counters of one core slice.
-    pub fn core_mem_stats(&self, core: usize) -> MemStats {
-        self.hier.stats(core)
     }
 }
 

@@ -129,141 +129,117 @@ impl EventKind {
         }
     }
 
-    /// `key=value` detail string, `;`-separated, stable field order.
-    pub fn detail(&self) -> String {
+    /// Calls `f` with the payload as `(key, value)` pairs in stable
+    /// order: the one field list that the JSONL export and
+    /// [`EventKind::detail`] (the CSV detail column, the markdown event
+    /// table) both render.
+    fn with_fields(&self, f: &mut dyn FnMut(&Fields<'_>)) {
+        use Field::{Num, Str};
         match self {
-            EventKind::RungChange { from, to, cause, window_w } => {
-                format!("from={from};to={to};cause={};window_w={window_w}", cause.as_str())
+            EventKind::RungChange { from, to, cause, window_w } => f(&[
+                ("from", Num(from)),
+                ("to", Num(to)),
+                ("cause", Str(cause.as_str())),
+                ("window_w", Num(window_w)),
+            ]),
+            EventKind::ThrottleFloor { window_w } => f(&[("window_w", Num(window_w))]),
+            EventKind::SelAppend { event, datum } => {
+                f(&[("event", Str(event)), ("datum", Num(datum))])
             }
-            EventKind::ThrottleFloor { window_w } => format!("window_w={window_w}"),
-            EventKind::SelAppend { event, datum } => format!("event={event};datum={datum}"),
             EventKind::DcmiSetLimit { limit_w, correction_ms } => {
-                format!("limit_w={limit_w};correction_ms={correction_ms}")
+                f(&[("limit_w", Num(limit_w)), ("correction_ms", Num(correction_ms))])
             }
-            EventKind::DcmiGetLimit => String::new(),
-            EventKind::DcmiActivate { on } => format!("on={on}"),
-            EventKind::Retry { attempts } => format!("attempts={attempts}"),
-            EventKind::Timeout { attempts } => format!("attempts={attempts}"),
-            EventKind::HealthChange { from, to } => format!("from={from};to={to}"),
-            EventKind::BudgetRealloc { epoch, budget_w, answered, caps_pushed } => format!(
-                "epoch={epoch};budget_w={budget_w};answered={answered};caps_pushed={caps_pushed}"
-            ),
-            EventKind::Barrier { epoch, answered, unresponsive, fleet_w } => format!(
-                "epoch={epoch};answered={answered};unresponsive={unresponsive};fleet_w={fleet_w}"
-            ),
-            EventKind::FaultInjected { fault } => format!("fault={fault}"),
-            EventKind::FaultCleared { fault } => format!("fault={fault}"),
-            EventKind::BmcCrash { dead_ms } => format!("dead_ms={dead_ms}"),
-            EventKind::WatchdogReboot { down_ms } => format!("down_ms={down_ms}"),
+            EventKind::DcmiGetLimit | EventKind::FailsafeReleased => f(&[]),
+            EventKind::DcmiActivate { on } => f(&[("on", Num(on))]),
+            EventKind::Retry { attempts } | EventKind::Timeout { attempts } => {
+                f(&[("attempts", Num(attempts))])
+            }
+            EventKind::HealthChange { from, to } => f(&[("from", Str(from)), ("to", Str(to))]),
+            EventKind::BudgetRealloc { epoch, budget_w, answered, caps_pushed } => f(&[
+                ("epoch", Num(epoch)),
+                ("budget_w", Num(budget_w)),
+                ("answered", Num(answered)),
+                ("caps_pushed", Num(caps_pushed)),
+            ]),
+            EventKind::Barrier { epoch, answered, unresponsive, fleet_w } => f(&[
+                ("epoch", Num(epoch)),
+                ("answered", Num(answered)),
+                ("unresponsive", Num(unresponsive)),
+                ("fleet_w", Num(fleet_w)),
+            ]),
+            EventKind::FaultInjected { fault } | EventKind::FaultCleared { fault } => {
+                f(&[("fault", Str(fault))])
+            }
+            EventKind::BmcCrash { dead_ms } => f(&[("dead_ms", Num(dead_ms))]),
+            EventKind::WatchdogReboot { down_ms } => f(&[("down_ms", Num(down_ms))]),
             EventKind::FailsafeEngaged { reason, window_w } => {
-                format!("reason={reason};window_w={window_w}")
+                f(&[("reason", Str(reason)), ("window_w", Num(window_w))])
             }
-            EventKind::FailsafeReleased => String::new(),
             EventKind::CapViolation { cap_w, window_w } => {
-                format!("cap_w={cap_w};window_w={window_w}")
+                f(&[("cap_w", Num(cap_w)), ("window_w", Num(window_w))])
             }
-            EventKind::CapViolationEnded { cap_w } => format!("cap_w={cap_w}"),
-            EventKind::PolicyPlan { policy, epoch, answered, granted_w } => {
-                format!("policy={policy};epoch={epoch};answered={answered};granted_w={granted_w}")
-            }
+            EventKind::CapViolationEnded { cap_w } => f(&[("cap_w", Num(cap_w))]),
+            EventKind::PolicyPlan { policy, epoch, answered, granted_w } => f(&[
+                ("policy", Str(policy)),
+                ("epoch", Num(epoch)),
+                ("answered", Num(answered)),
+                ("granted_w", Num(granted_w)),
+            ]),
             EventKind::FailoverRouted { epoch, moved, dropped } => {
-                format!("epoch={epoch};moved={moved};dropped={dropped}")
+                f(&[("epoch", Num(epoch)), ("moved", Num(moved)), ("dropped", Num(dropped))])
             }
             EventKind::RateAdjusted { multiplier, cause } => {
-                format!("multiplier={multiplier};cause={cause}")
+                f(&[("multiplier", Num(multiplier)), ("cause", Str(cause))])
             }
             EventKind::BreakerTransition { epoch, from, to } => {
-                format!("epoch={epoch};from={from};to={to}")
+                f(&[("epoch", Num(epoch)), ("from", Str(from)), ("to", Str(to))])
             }
-            EventKind::BrownoutShift { from_class, to_class, cause } => {
-                format!("from_class={from_class};to_class={to_class};cause={cause}")
-            }
+            EventKind::BrownoutShift { from_class, to_class, cause } => f(&[
+                ("from_class", Num(from_class)),
+                ("to_class", Num(to_class)),
+                ("cause", Str(cause)),
+            ]),
         }
     }
 
+    /// `key=value` detail string, `;`-separated, stable field order.
+    pub fn detail(&self) -> String {
+        let mut out = String::new();
+        self.with_fields(&mut |fields| {
+            for (i, (key, value)) in fields.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ";" };
+                let _ = match value {
+                    Field::Str(s) => write!(out, "{sep}{key}={s}"),
+                    Field::Num(n) => write!(out, "{sep}{key}={n}"),
+                };
+            }
+        });
+        out
+    }
+
+    /// Append the payload as `,"key":value` JSON members.
     fn json_fields(&self, out: &mut String) {
-        match self {
-            EventKind::RungChange { from, to, cause, window_w } => {
-                let _ = write!(
-                    out,
-                    r#","from":{from},"to":{to},"cause":"{}","window_w":{window_w}"#,
-                    cause.as_str()
-                );
+        self.with_fields(&mut |fields| {
+            for (key, value) in fields {
+                let _ = match value {
+                    Field::Str(s) => write!(out, r#","{key}":"{s}""#),
+                    Field::Num(n) => write!(out, r#","{key}":{n}"#),
+                };
             }
-            EventKind::ThrottleFloor { window_w } => {
-                let _ = write!(out, r#","window_w":{window_w}"#);
-            }
-            EventKind::SelAppend { event, datum } => {
-                let _ = write!(out, r#","event":"{event}","datum":{datum}"#);
-            }
-            EventKind::DcmiSetLimit { limit_w, correction_ms } => {
-                let _ = write!(out, r#","limit_w":{limit_w},"correction_ms":{correction_ms}"#);
-            }
-            EventKind::DcmiGetLimit => {}
-            EventKind::DcmiActivate { on } => {
-                let _ = write!(out, r#","on":{on}"#);
-            }
-            EventKind::Retry { attempts } | EventKind::Timeout { attempts } => {
-                let _ = write!(out, r#","attempts":{attempts}"#);
-            }
-            EventKind::HealthChange { from, to } => {
-                let _ = write!(out, r#","from":"{from}","to":"{to}""#);
-            }
-            EventKind::BudgetRealloc { epoch, budget_w, answered, caps_pushed } => {
-                let _ = write!(
-                    out,
-                    r#","epoch":{epoch},"budget_w":{budget_w},"answered":{answered},"caps_pushed":{caps_pushed}"#
-                );
-            }
-            EventKind::Barrier { epoch, answered, unresponsive, fleet_w } => {
-                let _ = write!(
-                    out,
-                    r#","epoch":{epoch},"answered":{answered},"unresponsive":{unresponsive},"fleet_w":{fleet_w}"#
-                );
-            }
-            EventKind::FaultInjected { fault } | EventKind::FaultCleared { fault } => {
-                let _ = write!(out, r#","fault":"{fault}""#);
-            }
-            EventKind::BmcCrash { dead_ms } => {
-                let _ = write!(out, r#","dead_ms":{dead_ms}"#);
-            }
-            EventKind::WatchdogReboot { down_ms } => {
-                let _ = write!(out, r#","down_ms":{down_ms}"#);
-            }
-            EventKind::FailsafeEngaged { reason, window_w } => {
-                let _ = write!(out, r#","reason":"{reason}","window_w":{window_w}"#);
-            }
-            EventKind::FailsafeReleased => {}
-            EventKind::CapViolation { cap_w, window_w } => {
-                let _ = write!(out, r#","cap_w":{cap_w},"window_w":{window_w}"#);
-            }
-            EventKind::CapViolationEnded { cap_w } => {
-                let _ = write!(out, r#","cap_w":{cap_w}"#);
-            }
-            EventKind::PolicyPlan { policy, epoch, answered, granted_w } => {
-                let _ = write!(
-                    out,
-                    r#","policy":"{policy}","epoch":{epoch},"answered":{answered},"granted_w":{granted_w}"#
-                );
-            }
-            EventKind::FailoverRouted { epoch, moved, dropped } => {
-                let _ = write!(out, r#","epoch":{epoch},"moved":{moved},"dropped":{dropped}"#);
-            }
-            EventKind::RateAdjusted { multiplier, cause } => {
-                let _ = write!(out, r#","multiplier":{multiplier},"cause":"{cause}""#);
-            }
-            EventKind::BreakerTransition { epoch, from, to } => {
-                let _ = write!(out, r#","epoch":{epoch},"from":"{from}","to":"{to}""#);
-            }
-            EventKind::BrownoutShift { from_class, to_class, cause } => {
-                let _ = write!(
-                    out,
-                    r#","from_class":{from_class},"to_class":{to_class},"cause":"{cause}""#
-                );
-            }
-        }
+        });
     }
 }
+
+/// One payload value of an [`EventKind`]. JSON quotes a `Str` and writes
+/// a `Num` (a number or a bool) bare; both print with `Display`.
+#[derive(Clone, Copy)]
+enum Field<'a> {
+    Str(&'a str),
+    Num(&'a dyn std::fmt::Display),
+}
+
+/// An event's payload as `(key, value)` pairs, in stable order.
+type Fields<'a> = [(&'static str, Field<'a>)];
 
 /// One log entry: what happened, when (simulated seconds), and where.
 #[derive(Clone, Debug, PartialEq)]

@@ -9,7 +9,7 @@
 //!   constants are calibrated to the paper's anchors: idle 100–103 W,
 //!   Stereo baseline ≈153 W, SIRE/RSM baseline ≈157 W ([`node`]),
 //! * a first-order RC thermal model ([`thermal`]),
-//! * a Watts Up!-style sampling meter and an energy integrator
+//! * a Watts Up!-style sampling meter that also integrates energy
 //!   ([`meter`]).
 
 pub mod dynamic;
@@ -21,7 +21,7 @@ pub mod thermal;
 
 pub use dynamic::dynamic_power_w;
 pub use leakage::leakage_power_w;
-pub use meter::{EnergyIntegrator, PowerMeter};
+pub use meter::PowerMeter;
 pub use node::{ActivityWindow, NodePowerModel, PowerBreakdown, PowerParams};
 pub use rapl::{msr_delta_joules, RaplCounters, RaplDomain, ENERGY_UNIT_J};
 pub use thermal::ThermalModel;

@@ -3,9 +3,9 @@
 //! [`PowerMeter`] stands in for the paper's Watts Up! wall meter: it
 //! receives (duration, watts) samples and can report the average over the
 //! whole run or over a recent window (the BMC uses the windowed view for
-//! its control loop). [`EnergyIntegrator`] accumulates joules — the
-//! paper's "Computed Energy Consumption" column is average power ×
-//! execution time, which the integrator reproduces exactly for piecewise-
+//! its control loop), and the joules it has accumulated — the paper's
+//! "Computed Energy Consumption" column is average power × execution
+//! time, which [`PowerMeter::energy_j`] reproduces exactly for piecewise-
 //! constant power.
 
 use std::collections::VecDeque;
@@ -130,27 +130,11 @@ impl PowerMeter {
     pub fn total_s(&self) -> f64 {
         self.total_s
     }
-}
 
-/// Joule accumulator.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EnergyIntegrator {
-    joules: f64,
-}
-
-impl EnergyIntegrator {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `watts` sustained for `duration_s`.
-    pub fn add(&mut self, duration_s: f64, watts: f64) {
-        debug_assert!(duration_s >= 0.0 && watts >= 0.0);
-        self.joules += duration_s * watts;
-    }
-
-    pub fn joules(&self) -> f64 {
-        self.joules
+    /// Energy over the entire recording, in joules: the sum of
+    /// `duration_s × watts` over every sample, in recording order.
+    pub fn energy_j(&self) -> f64 {
+        self.total_ws
     }
 }
 
@@ -231,11 +215,9 @@ mod tests {
     fn energy_equals_avg_power_times_time() {
         // The identity the paper uses: energy = power × execution time.
         let mut m = PowerMeter::new(100.0);
-        let mut e = EnergyIntegrator::new();
         for (d, w) in [(2.0, 150.0), (3.0, 130.0), (1.0, 160.0)] {
             m.record(d, w);
-            e.add(d, w);
         }
-        assert!((e.joules() - m.run_avg_w() * m.total_s()).abs() < 1e-9);
+        assert!((m.energy_j() - m.run_avg_w() * m.total_s()).abs() < 1e-9);
     }
 }

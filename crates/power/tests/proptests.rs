@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use capsim_power::{ActivityWindow, EnergyIntegrator, NodePowerModel, PowerMeter, ThermalModel};
+use capsim_power::{ActivityWindow, NodePowerModel, PowerMeter, ThermalModel};
 
 fn window_strategy() -> impl Strategy<Value = ActivityWindow> {
     (
@@ -74,18 +74,16 @@ proptest! {
         samples in proptest::collection::vec((0.001f64..2.0, 90.0f64..170.0), 1..50),
     ) {
         let mut meter = PowerMeter::new(0.5);
-        let mut energy = EnergyIntegrator::new();
         let mut min = f64::MAX;
         let mut max = f64::MIN;
         for &(d, w) in &samples {
             meter.record(d, w);
-            energy.add(d, w);
             min = min.min(w);
             max = max.max(w);
         }
         let avg = meter.run_avg_w();
         prop_assert!(avg >= min - 1e-9 && avg <= max + 1e-9);
-        prop_assert!((energy.joules() - avg * meter.total_s()).abs() / energy.joules() < 1e-9);
+        prop_assert!((meter.energy_j() - avg * meter.total_s()).abs() / meter.energy_j() < 1e-9);
         let wavg = meter.window_avg_w();
         prop_assert!(wavg >= min - 1e-9 && wavg <= max + 1e-9);
     }

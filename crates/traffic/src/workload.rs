@@ -290,8 +290,9 @@ impl ClientSpec {
     }
 
     /// Check every parameter for range errors. All construction paths
-    /// that accept a `ClientSpec` funnel through this (and the facade
-    /// surfaces the error as `CapsimError::Traffic`).
+    /// that accept a `ClientSpec` funnel through this
+    /// ([`TrafficSpec::try_closed_loop`] returns the error,
+    /// [`TrafficSpec::closed_loop`] panics on it).
     pub fn validate(&self) -> Result<(), InvalidClientSpec> {
         if !(self.timeout_ms > 0.0 && self.timeout_ms.is_finite()) {
             return Err(InvalidClientSpec::NonPositiveTimeout { timeout_ms: self.timeout_ms });

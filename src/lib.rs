@@ -35,13 +35,8 @@ pub use capsim_policy as policy;
 pub use capsim_power as power;
 pub use capsim_traffic as traffic;
 
-pub mod error;
-
-pub use error::CapsimError;
-
 /// Commonly used items, one `use` away.
 pub mod prelude {
-    pub use crate::error::CapsimError;
     pub use capsim_apps::{SireRsm, StereoMatching, Workload};
     pub use capsim_chaos::{ChaosScenario, FaultKind, FaultPlan, InvariantConfig, SoakConfig};
     pub use capsim_core::{CapSweep, ExperimentConfig, RunMetrics};
