@@ -56,24 +56,13 @@ echo "== traffic smoke (CAPSIM_SCALE=test: emergency replay twins, cap ladder, S
 echo "   retry storm with closed-loop clients + failover)"
 CAPSIM_SCALE=test cargo run -q --release -p capsim-bench --bin traffic /tmp/BENCH_traffic_ci.json >/dev/null
 
-echo "== datacenter smoke (DCM budgets three nodes mid-run over pumped IPMI links;"
-echo "   asserts caps sum within the budget and every node's BMC escalated)"
-cargo run -q --release --example datacenter >/dev/null
-
-echo "== fleet, telemetry and policy-lab example smokes (each plans through the fleet's CapPolicy)"
-cargo run -q --release --example fleet >/dev/null
-cargo run -q --release --example telemetry >/dev/null
-cargo run -q --release --example policy_lab >/dev/null
-
-echo "== closed-loop smoke (retry-storm fleet, serial vs parallel byte-compared inline)"
-cargo run -q --release --example closed_loop >/dev/null
-
-echo "== traffic example smoke (unobserved serving fleets still report their request books)"
-cargo run -q --release --example traffic >/dev/null
-
-echo "== backpressure smoke (retry-only vs AIMD+brownout twins, per-class conservation,"
-echo "   CAPSIM_THREADS {1,4} re-exec fingerprints compared)"
-cargo run -q --release --example backpressure >/dev/null
+echo "== every example runs (each asserts its own invariants, e.g. the datacenter example's"
+echo "   caps within the budget and the serial == parallel replays of closed_loop and backpressure)"
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  echo "   example $name"
+  cargo run -q --release --example "$name" >/dev/null
+done
 
 echo "== bench trajectory files parse and carry their required keys"
 cargo run -q --release -p capsim-bench --bin bench_check -- BENCH_*.json /tmp/BENCH_hotpath_ci.json /tmp/BENCH_fleet_ci.json /tmp/BENCH_obs_ci.json /tmp/BENCH_chaos_ci.json /tmp/BENCH_policy_ci.json /tmp/BENCH_traffic_ci.json

@@ -5,8 +5,9 @@
 //! for a longer time (called race to idle) … However, reducing voltage
 //! along with clock rate can change those tradeoffs." This ablation
 //! quantifies exactly that on the simulated node: a periodic job (fixed
-//! work, fixed period) executed either at P0-then-C6 or stretched across
-//! the period at P-min.
+//! work, fixed period) executed either at P0 and then idle for the rest
+//! of the period, or stretched across the period at P-min. Idle spans
+//! (`Machine::idle`) draw the power model's all-idle power.
 //!
 //! Usage: `cargo run -p capsim-bench --bin ablation_race --release`
 
@@ -50,7 +51,7 @@ fn main() {
             &["strategy", "energy (J)", "avg power (W)"],
             &[
                 vec![
-                    "race-to-idle (P0 + C-states)".into(),
+                    "race-to-idle (P0, then idle)".into(),
                     format!("{e_race:.2}"),
                     format!("{p_race:.1}")
                 ],
@@ -68,7 +69,7 @@ fn main() {
          On this platform the two strategies land within a percent of each\n\
          other: the V² savings of crawling at P-min are almost exactly\n\
          offset by the platform's high idle floor, which rewards finishing\n\
-         early and parking in C6. That near-tie is the paper's §II-B point\n\
+         early and parking idle. That near-tie is the paper's §II-B point\n\
          verbatim: \"DVFS-driven race-to-idle may not always produce the\n\
          best energy efficiency\" — the winner flips with the V/f curve\n\
          and the idle floor, so it must be measured, not assumed.",

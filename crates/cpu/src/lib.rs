@@ -1,5 +1,5 @@
-//! `capsim-cpu` — core-side substrate: simulated time, ACPI power states
-//! and the per-core performance-counter file.
+//! `capsim-cpu` — core-side substrate: simulated time, ACPI performance
+//! and throttling states and the per-core performance-counter file.
 //!
 //! The pieces here model what §II of the paper describes:
 //!
@@ -8,19 +8,19 @@
 //! * **T-states** ([`tstate`]) — duty-cycle clock modulation, the mechanism
 //!   that lets measured frequency stay pinned at P-min while execution time
 //!   keeps growing at the lowest caps,
-//! * **C-states** ([`cstate`]) — idle states used by the race-to-idle
-//!   ablation,
 //! * a **gshare branch predictor** ([`branch`]) that produces the paper's
 //!   executed-vs-committed instruction gap via wrong-path work,
 //! * the **simulated clock** ([`clock`]) integrating cycles over a varying
 //!   frequency, and
 //! * the **counter file** ([`counters`]) backing the PAPI facade,
 //!   including the APERF/MPERF-style frequency meter.
+//!
+//! Idle cores carry no state here: the node meters an idle span through
+//! the power model's all-idle window.
 
 pub mod branch;
 pub mod clock;
 pub mod counters;
-pub mod cstate;
 pub mod pstate;
 pub mod timing;
 pub mod tstate;
@@ -28,7 +28,6 @@ pub mod tstate;
 pub use branch::{BranchOutcome, GsharePredictor};
 pub use clock::SimClock;
 pub use counters::{CounterFile, FreqMeter};
-pub use cstate::CState;
 pub use pstate::{PState, PStateTable};
 pub use timing::TimingParams;
 pub use tstate::TState;

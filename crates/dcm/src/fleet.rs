@@ -34,13 +34,11 @@
 //! `capsim_policy::allocate`) so the root's plan also cannot depend on
 //! how demand was gathered.
 //!
-//! Two elisions keep quiescent fleets cheap, both decided from per-node
-//! state that no schedule can change: a poll is skipped when the root's cached reading is
-//! provably what the BMC would answer again
-//! ([`capsim_node::bmc::Bmc::poll_would_repeat`]), and a cap push is
-//! skipped when the planned cap is bit-identical to the cap already in
-//! effect. Skips are counted (`fleet.polls_skipped`,
-//! `fleet.cap_pushes_skipped`).
+//! The root sees a node only through what its BMC answers on the wire:
+//! every barrier polls every node. One elision keeps quiescent fleets
+//! cheap, decided from what the root itself confirmed: a cap push is
+//! skipped when the planned cap is bit-identical to the cap the node's
+//! last clean push landed (counted as `fleet.cap_pushes_skipped`).
 //!
 //! Because the manager cannot block on a node that lives on the same
 //! thread, wire traffic flows through [`PumpedLink`]: each delivery poll
@@ -139,26 +137,12 @@ impl SimNode {
     }
 }
 
-/// One node's slot in the poll phase.
-enum PollOutcome {
-    /// The root's cached reading is provably current; no wire traffic.
-    Skipped,
-    /// A captured wire transaction for the root to absorb.
-    Polled(WireOutcome),
-}
-
-/// Poll phase for one node: step it by `epoch_s`, then gather demand.
-/// `skip_ok` is the root's clearance to use the cached reading if — and
-/// only if — the BMC agrees a fresh poll would repeat itself. Touches only
-/// this node's machine, link and BMC, and records nothing.
-fn poll_node(n: &mut SimNode, epoch_s: f64, skip_ok: bool, retry: &RetryPolicy) -> PollOutcome {
+/// Poll phase for one node: step it by `epoch_s`, then poll its power
+/// over the wire. Touches only this node's machine, link and BMC, and
+/// records nothing.
+fn poll_node(n: &mut SimNode, epoch_s: f64, retry: &RetryPolicy) -> WireOutcome {
     n.machine.step(epoch_s, n.load.as_mut());
-    if skip_ok && n.machine.bmc_poll_would_repeat() {
-        return PollOutcome::Skipped;
-    }
-    PollOutcome::Polled(WireOutcome::capture(&mut n.link(), retry, &|seq| {
-        GetPowerReading::request(seq)
-    }))
+    WireOutcome::capture(&mut n.link(), retry, &|seq| GetPowerReading::request(seq))
 }
 
 /// Per-node circuit-breaker state at the fleet barrier. Breakers guard
@@ -193,17 +177,9 @@ impl BreakerState {
 /// Root-side per-node control state as struct-of-arrays: the hot data
 /// the serial barrier sweeps every epoch, kept in parallel `Vec`s
 /// indexed by registration order instead of scattered across node
-/// objects. Scratch columns (`can_skip`, `planned`) are retained across
-/// epochs so the steady-state barrier allocates nothing.
+/// objects. The scratch column (`planned`) is retained across epochs so
+/// the steady-state barrier allocates nothing.
 struct FleetCtrl {
-    /// Last successfully decoded power reading (whole watts).
-    demand_w: Vec<f64>,
-    /// `demand_w[i]` holds a real reading (at least one poll succeeded).
-    demand_valid: Vec<bool>,
-    /// The most recent poll attempt succeeded (a failure forces a fresh
-    /// poll until one succeeds again — after a lost response the cache
-    /// can no longer be proven equal to what the BMC last answered).
-    poll_ok: Vec<bool>,
     /// The most recent cap push fully succeeded (Set and Activate). A
     /// half-applied push leaves the BMC on a cap the manager never
     /// confirmed, so only a fully clean push may be elided later.
@@ -211,13 +187,11 @@ struct FleetCtrl {
     /// Fleet-side cap-violation streaks (epochs over cap + margin).
     viol_streak: Vec<u32>,
     /// Consecutive barriers whose poll attempt failed (reset on any
-    /// successful or elided poll). Feeds the circuit breakers.
+    /// successful poll). Feeds the circuit breakers.
     timeout_streak: Vec<u32>,
     /// Per-node failover circuit breakers (only ticked for fleets that
     /// actually route failover work).
     breaker: Vec<BreakerState>,
-    /// Scratch: root clearance for the poll fast path this epoch.
-    can_skip: Vec<bool>,
     /// Scratch: planned wire pushes this epoch.
     planned: Vec<Option<PowerLimit>>,
 }
@@ -225,14 +199,10 @@ struct FleetCtrl {
 impl FleetCtrl {
     fn new(n: usize) -> FleetCtrl {
         FleetCtrl {
-            demand_w: vec![0.0; n],
-            demand_valid: vec![false; n],
-            poll_ok: vec![false; n],
             push_ok: vec![false; n],
             viol_streak: vec![0; n],
             timeout_streak: vec![0; n],
             breaker: vec![BreakerState::Closed; n],
-            can_skip: vec![false; n],
             planned: vec![None; n],
         }
     }
@@ -841,10 +811,8 @@ impl Fleet {
     /// One epoch of the fleet engine.
     ///
     /// * **Poll phase (one map over nodes).** Each node is stepped by one
-    ///   epoch of simulated time and its demand gathered — polled over
-    ///   the wire, or the poll skipped when the root's cached reading is
-    ///   provably what the BMC would answer. The map touches only each
-    ///   node's own state and records nothing.
+    ///   epoch of simulated time and its power polled over the wire. The
+    ///   map touches only each node's own state and records nothing.
     /// * **Root barrier (serial).** The root absorbs the captured wire
     ///   outcomes in registration order (so health bookkeeping, metrics
     ///   and events are byte-identical to a serial run), detects cap
@@ -868,18 +836,11 @@ impl Fleet {
         let observe = self.dcm.obs.is_enabled();
         let n = self.nodes.len();
 
-        // Root clearance for the poll fast path: the cached reading is
-        // reusable only if the most recent poll succeeded — after a lost
-        // response the BMC may have answered a poll the root never saw.
-        for i in 0..n {
-            self.ctrl.can_skip[i] = self.ctrl.poll_ok[i] && self.ctrl.demand_valid[i];
-        }
-
         // Poll phase: one map over the nodes.
         let (epoch_s, retry) = (self.epoch_s, self.dcm.retry);
-        let poll = |(n, &skip_ok): (&mut SimNode, &bool)| poll_node(n, epoch_s, skip_ok, &retry);
-        let work = self.nodes.iter_mut().zip(&self.ctrl.can_skip);
-        let outcomes: Vec<PollOutcome> = if self.parallel {
+        let poll = |n: &mut SimNode| poll_node(n, epoch_s, &retry);
+        let work = self.nodes.iter_mut();
+        let outcomes: Vec<WireOutcome> = if self.parallel {
             work.into_par_iter().map(poll).collect()
         } else {
             work.map(poll).collect()
@@ -887,31 +848,14 @@ impl Fleet {
 
         // Root absorbs the poll outcomes in registration order.
         let mut demand: Vec<(NodeId, f64)> = Vec::with_capacity(n);
-        let mut polls_skipped = 0u64;
         for (i, out) in outcomes.into_iter().enumerate() {
             let id = self.nodes[i].id;
-            match out {
-                PollOutcome::Skipped => {
-                    // The cached reading is guaranteed equal to what a
-                    // fresh poll would have returned.
-                    polls_skipped += 1;
+            match self.dcm.absorb_power_poll(id, out) {
+                Ok(r) => {
                     self.ctrl.timeout_streak[i] = 0;
-                    demand.push((id, self.ctrl.demand_w[i]));
+                    demand.push((id, r.current_w as f64));
                 }
-                PollOutcome::Polled(out) => match self.dcm.absorb_power_poll(id, out) {
-                    Ok(r) => {
-                        let w = r.current_w as f64;
-                        self.ctrl.demand_w[i] = w;
-                        self.ctrl.demand_valid[i] = true;
-                        self.ctrl.poll_ok[i] = true;
-                        self.ctrl.timeout_streak[i] = 0;
-                        demand.push((id, w));
-                    }
-                    Err(_) => {
-                        self.ctrl.poll_ok[i] = false;
-                        self.ctrl.timeout_streak[i] += 1;
-                    }
-                },
+                Err(_) => self.ctrl.timeout_streak[i] += 1,
             }
         }
 
@@ -919,9 +863,7 @@ impl Fleet {
         // the cap pushed at the *previous* barrier (before this round's
         // push overwrites it). A node persistently over its cap — a BMC
         // silently dropping cap commands answers the wire perfectly — is
-        // flagged and held Degraded until it comes back under. Cached
-        // readings participate like fresh ones: they are equal by
-        // construction.
+        // flagged and held Degraded until it comes back under.
         for &(id, w) in &demand {
             let streak = &mut self.ctrl.viol_streak[id.index()];
             let over = self.dcm.last_cap_w(id).is_some_and(|cap| w > cap + self.violation_margin_w);
@@ -1047,7 +989,6 @@ impl Fleet {
             }
             m.inc("fleet.barriers");
             m.add("fleet.caps_pushed", wire_pushes);
-            m.add("fleet.polls_skipped", polls_skipped);
             m.add("fleet.cap_pushes_skipped", pushes_skipped);
             m.set_gauge("fleet.unresponsive", unresponsive as f64);
             self.dcm.obs.events.record(
@@ -1413,8 +1354,7 @@ mod tests {
         // Every wire push is a Set + Activate pair; polls add more.
         assert!(obs.metrics.counter("ipmi.transactions") >= 3 * pushed);
         assert!(obs.metrics.counter("machine.ticks") > 0);
-        // Cached readings are recorded like fresh ones: the histogram
-        // still sees every answered node every epoch.
+        // The histogram sees every answered node every epoch.
         let hist = obs.metrics.hist("fleet.node_power_w").expect("power histogram");
         assert_eq!(hist.count, 4 * 3);
         // One BudgetRealloc + one Barrier per epoch, plus node-side DCMI
@@ -1444,12 +1384,13 @@ mod tests {
     #[test]
     fn quiescent_nodes_take_the_fast_paths() {
         // A mostly idle datacenter mix settles into a steady state where
-        // polls repeat, caps repeat and idle spans are quiescent — all
-        // three elisions must fire, and none may perturb the results.
+        // caps repeat and idle spans are quiescent — both elisions must
+        // fire, and neither may perturb the results.
+        let (nodes, epochs) = (8u64, 6u64);
         let build = |observe: bool| {
             FleetBuilder::new()
-                .nodes(8)
-                .epochs(6)
+                .nodes(nodes as usize)
+                .epochs(epochs as u32)
                 .seed(7)
                 .workload(WorkloadSpec::DatacenterMix)
                 .observe(observe)
@@ -1458,7 +1399,13 @@ mod tests {
         };
         let on = build(true);
         let obs = on.obs.as_ref().expect("observed run");
-        assert!(obs.metrics.counter("fleet.polls_skipped") > 0, "steady polls are elided");
+        // Clean links: every barrier polls every node once, and every
+        // pushed cap is one Set and one Activate.
+        assert_eq!(
+            obs.metrics.counter("ipmi.transactions"),
+            nodes * epochs + 2 * obs.metrics.counter("dcm.caps_pushed"),
+            "one poll per node per barrier plus two transactions per pushed cap"
+        );
         assert!(obs.metrics.counter("fleet.cap_pushes_skipped") > 0, "steady caps are elided");
         assert!(obs.metrics.counter("machine.idle_skips") > 0, "idle spans fast-forward");
         // Elision decisions read only control state — never obs — so an

@@ -65,7 +65,7 @@ pub enum NodeHealth {
     /// Recent transactions failed (transiently); the node is still
     /// budgeted but flagged.
     Degraded { consecutive_failures: u32 },
-    /// Failures reached [`Dcm::unresponsive_after`]; the node is excluded
+    /// Failures reached [`Dcm::UNRESPONSIVE_AFTER`]; the node is excluded
     /// from budgeting until it answers again.
     Unresponsive,
 }
@@ -123,16 +123,11 @@ impl CapPushOutcome {
 /// The Data Center Manager.
 pub struct Dcm {
     nodes: Vec<NodeEntry>,
-    /// Caps below this are pointless (the node's throttle floor).
-    pub floor_w: f64,
     /// DCMI correction time pushed with every limit (how long a node may
     /// exceed its cap before the exception action fires).
     pub correction_ms: u32,
     /// Retry budget for every management transaction.
     pub retry: RetryPolicy,
-    /// Consecutive failed transactions before a node is declared
-    /// [`NodeHealth::Unresponsive`].
-    pub unresponsive_after: u32,
     /// Manager-side observability: transaction retry/timeout counters,
     /// health-transition events, budgeting metrics. Disabled by default.
     pub obs: Obs,
@@ -143,13 +138,19 @@ pub struct Dcm {
 }
 
 impl Dcm {
+    /// Caps below this are pointless (the node's throttle floor); every
+    /// plan hands it to the policy's group half.
+    const FLOOR_W: f64 = 110.0;
+
+    /// Consecutive failed transactions before a node is declared
+    /// [`NodeHealth::Unresponsive`].
+    pub const UNRESPONSIVE_AFTER: u32 = 3;
+
     pub fn new() -> Self {
         Dcm {
             nodes: Vec::new(),
-            floor_w: 110.0,
             correction_ms: 1000,
             retry: RetryPolicy::default(),
-            unresponsive_after: 3,
             obs: Obs::disabled(),
             obs_now_s: 0.0,
         }
@@ -253,7 +254,7 @@ impl Dcm {
         let e = &mut self.nodes[node.index()];
         let old = e.health;
         e.consecutive_failures += 1;
-        e.health = if e.consecutive_failures >= self.unresponsive_after.max(1) {
+        e.health = if e.consecutive_failures >= Self::UNRESPONSIVE_AFTER {
             NodeHealth::Unresponsive
         } else {
             NodeHealth::Degraded { consecutive_failures: e.consecutive_failures }
@@ -458,7 +459,7 @@ impl Dcm {
                 tail_ms: tails.get(i).copied().unwrap_or(0.0),
             })
             .collect();
-        let caps = policy.group_allocate(budget_w, &group, self.floor_w);
+        let caps = policy.group_allocate(budget_w, &group, Self::FLOOR_W);
         demand.iter().map(|&(id, _)| id).zip(caps).collect()
     }
 }

@@ -74,6 +74,9 @@ impl PowerCap {
     }
 }
 
+/// De-escalate only when the window average is below `cap - HYSTERESIS_W`.
+const HYSTERESIS_W: f64 = 1.0;
+
 // Guardrail thresholds: the failsafe rung floor (which always pins the
 // deepest rung), the stale-telemetry watchdog and the cap-violation
 // detector. The counts are consecutive control samples, so their
@@ -126,8 +129,6 @@ pub struct Bmc {
     cap: Option<PowerCap>,
     cap_active: bool,
     rung: usize,
-    /// De-escalate only when below `cap - hysteresis_w`.
-    hysteresis_w: f64,
     escalations: u64,
     deescalations: u64,
     exceptions: u64,
@@ -159,11 +160,6 @@ pub struct Bmc {
     reboot_at_ms: Option<f64>,
     /// Controller fault: cap commands are acknowledged but not applied.
     lost_cap_commands: bool,
-    /// What the last served `Get Power Reading` answered: `(current_w,
-    /// SEL length at the time)`. Lock-step managers consult
-    /// [`Bmc::poll_would_repeat`] to elide polls that cannot return new
-    /// information.
-    poll_snapshot: Option<(u16, usize)>,
     /// Observability sink for this node (disabled by default: one branch
     /// per site, nothing recorded).
     obs: Obs,
@@ -180,7 +176,6 @@ impl Bmc {
             cap: None,
             cap_active: false,
             rung: 0,
-            hysteresis_w: 1.0,
             escalations: 0,
             deescalations: 0,
             exceptions: 0,
@@ -203,7 +198,6 @@ impl Bmc {
             crashed_at_ms: 0.0,
             reboot_at_ms: None,
             lost_cap_commands: false,
-            poll_snapshot: None,
             obs: Obs::disabled(),
             policy: Box::new(LadderCapPolicy::new()),
         }
@@ -251,21 +245,6 @@ impl Bmc {
         self.crashed
     }
 
-    /// Would a `Get Power Reading` right now repeat the last answer?
-    ///
-    /// True only when firmware is alive, a poll has been served before,
-    /// the SEL has not grown since (SEL growth is the conservative "the
-    /// BMC did something" detector — cap pushes, crashes, throttle-floor
-    /// and correction-time events all append records), and the rounded
-    /// window average still matches the reported watts. A lock-step
-    /// manager may then reuse its cached reading instead of spending a
-    /// wire transaction.
-    pub fn poll_would_repeat(&self) -> bool {
-        !self.crashed
-            && self.poll_snapshot
-                == Some((self.last_telemetry.window_avg_w.round() as u16, self.sel.len()))
-    }
-
     /// Would a control tick fed steady telemetry of `window_avg_w` watts
     /// leave every control decision untouched?
     ///
@@ -285,11 +264,7 @@ impl Bmc {
             && self.stale_streak == 0
             && window_avg_w.is_finite()
             && window_avg_w > 0.0
-            && self.policy.node_quiescent(
-                window_avg_w,
-                self.cap().map(|c| c.watts),
-                self.hysteresis_w,
-            )
+            && self.policy.node_quiescent(window_avg_w, self.cap().map(|c| c.watts), HYSTERESIS_W)
     }
 
     /// Controller fault: when set, `Set Power Limit` and `Activate Power
@@ -546,7 +521,7 @@ impl Bmc {
         let view = NodeCapView {
             cap_w: cap,
             window_avg_w: avg,
-            hysteresis_w: self.hysteresis_w,
+            hysteresis_w: HYSTERESIS_W,
             rung: self.rung,
             deepest: self.ladder.deepest(),
             busy_frac: telemetry.busy_frac,
@@ -677,7 +652,6 @@ impl Bmc {
                     window_ms: 1000,
                     active: true,
                 };
-                self.poll_snapshot = Some((reading.current_w, self.sel.len()));
                 Response::ok(req, reading.encode())
             }
             (NetFn::GroupExt, dcmi::CMD_SET_POWER_LIMIT) => match SetPowerLimit::parse(req) {
@@ -839,7 +813,8 @@ mod tests {
         b.set_cap(Some(PowerCap::new(150.0).unwrap()));
         b.control(tele(151.0));
         assert_eq!(b.rung_index(), 1);
-        // 149 is under the cap but within the 2 W hysteresis band: hold.
+        // 149 is under the cap but not below cap − HYSTERESIS_W (1 W):
+        // hold.
         assert!(b.control(tele(149.0)).is_none());
         assert_eq!(b.rung_index(), 1);
     }

@@ -992,13 +992,6 @@ impl Machine {
         self.bmc.is_crashed()
     }
 
-    /// Would a DCMI power-reading poll of this node's BMC repeat its last
-    /// answer byte for byte? See [`Bmc::poll_would_repeat`] — lock-step
-    /// managers use this to elide redundant polls.
-    pub fn bmc_poll_would_repeat(&self) -> bool {
-        self.bmc.poll_would_repeat()
-    }
-
     /// Switch the BMC guardrails on or off (off is the overhead
     /// benchmark's baseline).
     pub fn set_guardrails(&mut self, on: bool) {

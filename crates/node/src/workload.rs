@@ -124,8 +124,8 @@ impl LoadKind {
     /// Datacenter-shaped duty-cycle assignment: a minority of nodes runs
     /// sustained Compute/Stream/Mixed work while the majority sits in
     /// bursty [`LoadKind::Pulse`] loads that are mostly idle — the
-    /// utilization profile the idle fast-forward and poll-elision paths
-    /// are built for. Select with [`WorkloadSpec::DatacenterMix`].
+    /// utilization profile the idle fast-forward and push elision are
+    /// built for. Select with [`WorkloadSpec::DatacenterMix`].
     pub fn datacenter_for_index(i: usize) -> LoadKind {
         // 3 sustained-busy nodes per 16 (~19% busy) — datacenter fleets
         // run far below peak on average, which is the premise of group
