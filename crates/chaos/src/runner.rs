@@ -314,14 +314,27 @@ mod tests {
 
     #[test]
     fn faulted_scenarios_still_pass_inside_their_declared_windows() {
-        // Lost cap commands for the middle third of the run: power may
-        // float over the cap inside the window (exempt), and must come
-        // back under it afterwards.
+        // Lost cap commands for the first third of the run: node 0 acks
+        // every push but holds none, so power may float over the cap
+        // inside the window (exempt). Its read-backs fail until the
+        // window closes; then the next push lands and is confirmed.
         let mut s = ChaosScenario::fast(11, 3, 12);
         let h = s.horizon_s();
-        s.plan = FaultPlan::none().window(0, h / 3.0, 2.0 * h / 3.0, FaultKind::LostCapCommands);
+        s.plan = FaultPlan::none().window(0, 0.0, h / 3.0, FaultKind::LostCapCommands);
         let report = check(&s);
         assert!(report.ok(), "violations: {:?}", report.violations);
+        let out = &report.outcome;
+        // The window spans epochs 0-3 (4 x 0.5 ms = h / 3).
+        for r in &out.report.records {
+            let capped = r.caps.iter().any(|&(i, _)| i == 0);
+            assert_eq!(capped, r.epoch >= 4, "epoch {}: {:?}", r.epoch, r.caps);
+        }
+        assert!(out.sel_truth[0]
+            .iter()
+            .any(|e| e.event == capsim_ipmi::SelEventType::PowerLimitConfigured));
+        let n0 = &out.report.summaries[0];
+        assert_eq!(n0.health, capsim_dcm::NodeHealth::Healthy);
+        assert_eq!(n0.final_cap_w, Some(135.0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use capsim_ipmi::IpmiError;
+use capsim_ipmi::{IpmiError, PowerLimit};
 
 use crate::manager::NodeId;
 
@@ -16,6 +16,9 @@ use crate::manager::NodeId;
 pub enum DcmError {
     /// An IPMI transaction with a node failed.
     Ipmi { node: NodeId, name: String, source: IpmiError },
+    /// A cap push read back a limit other than the one pushed: the node
+    /// acknowledged the cap on the wire but does not hold it.
+    CapNotHeld { node: NodeId, name: String, pushed: PowerLimit, read: PowerLimit },
     /// The `NodeId` does not belong to this manager.
     UnknownNode(NodeId),
 }
@@ -24,7 +27,9 @@ impl DcmError {
     /// The node the failure is attributed to.
     pub fn node(&self) -> NodeId {
         match self {
-            DcmError::Ipmi { node, .. } | DcmError::UnknownNode(node) => *node,
+            DcmError::Ipmi { node, .. }
+            | DcmError::CapNotHeld { node, .. }
+            | DcmError::UnknownNode(node) => *node,
         }
     }
 
@@ -39,6 +44,9 @@ impl fmt::Display for DcmError {
         match self {
             DcmError::Ipmi { node, name, source } => {
                 write!(f, "node {} ({name}): {source}", node.index())
+            }
+            DcmError::CapNotHeld { node, name, pushed, read } => {
+                write!(f, "node {} ({name}): pushed {pushed:?}, reads back {read:?}", node.index())
             }
             DcmError::UnknownNode(n) => write!(f, "unknown node id {}", n.index()),
         }

@@ -12,14 +12,16 @@
 //! 2. **Root barrier** (serial) — the root absorbs the captured
 //!    outcomes in node order (replaying retry/timeout observability and
 //!    health transitions exactly as a serial manager would have, and
-//!    decoding each reading once), runs fleet-side violation detection,
-//!    and plans the budget over the nodes that answered through the
-//!    fleet's [`CapPolicy`] — the only planner (default:
-//!    [`LadderCapPolicy`] over a uniform split).
+//!    decoding each reading once) and plans the budget over the nodes
+//!    that answered through the fleet's [`CapPolicy`] — the only planner
+//!    (default: [`LadderCapPolicy`] over a uniform split).
 //! 3. **Push phase** (per node) — push the planned caps (DCMI *Set* +
-//!    *Activate*), again capturing outcomes.
-//! 4. **Root barrier** (serial) — outcomes absorbed in node order; the
-//!    epoch record and barrier events are emitted.
+//!    *Activate*, then a *Get Power Limit* read-back), again capturing
+//!    outcomes.
+//! 4. **Root barrier** (serial) — outcomes absorbed in node order: a
+//!    push counts only when its limit reads back, and a node that acks a
+//!    cap it does not hold is flagged. The epoch record and barrier
+//!    events are emitted.
 //!
 //! Serial per-epoch work at the root is a lean sweep over
 //! struct-of-arrays control state (`FleetCtrl`); the expensive part —
@@ -35,10 +37,12 @@
 //! how demand was gathered.
 //!
 //! The root sees a node only through what its BMC answers on the wire:
-//! every barrier polls every node. One elision keeps quiescent fleets
-//! cheap, decided from what the root itself confirmed: a cap push is
-//! skipped when the planned cap is bit-identical to the cap the node's
-//! last clean push landed (counted as `fleet.cap_pushes_skipped`).
+//! every barrier polls every node, and the [`Dcm`] alone keeps what the
+//! root knows about each node (failures, the cap last confirmed, the
+//! read-back flag). One elision keeps quiescent fleets cheap, decided
+//! from what the root itself confirmed: a cap push is skipped when the
+//! planned cap is bit-identical to the cap the node last read back
+//! (counted as `fleet.cap_pushes_skipped`).
 //!
 //! Because the manager cannot block on a node that lives on the same
 //! thread, wire traffic flows through [`PumpedLink`]: each delivery poll
@@ -117,7 +121,8 @@ const POLLS_PER_ATTEMPT: u32 = 16;
 /// Per-stream event ring capacity of an observed fleet.
 const OBS_EVENT_CAPACITY: usize = 4096;
 
-/// Consecutive failed polls that open a node's failover breaker.
+/// Consecutive failed transactions (the [`Dcm`]'s count) that open a
+/// node's failover breaker.
 const BREAKER_TRIP_AFTER: u32 = 2;
 
 /// Barriers an open breaker waits before going half-open.
@@ -149,9 +154,9 @@ fn poll_node(n: &mut SimNode, epoch_s: f64, retry: &RetryPolicy) -> WireOutcome 
 /// *failover routing only*: an `Open` breaker removes the node from the
 /// re-offer heap, `HalfOpen` re-admits it for a single probe request
 /// after the cooldown, and a clean barrier closes it again. The state
-/// machine is driven purely by control state (poll-timeout and
-/// cap-violation streaks) in the serial root section, so observability
-/// can never perturb routing.
+/// machine is driven purely by the manager's records (each node's
+/// consecutive failed transactions and its read-back flag) in the serial
+/// root section, so observability can never perturb routing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal operation: the node is a failover target.
@@ -174,21 +179,11 @@ impl BreakerState {
     }
 }
 
-/// Root-side per-node control state as struct-of-arrays: the hot data
-/// the serial barrier sweeps every epoch, kept in parallel `Vec`s
-/// indexed by registration order instead of scattered across node
-/// objects. The scratch column (`planned`) is retained across epochs so
-/// the steady-state barrier allocates nothing.
+/// Root-side per-node control state that the [`Dcm`] does not keep, as
+/// struct-of-arrays indexed by registration order. The scratch column
+/// (`planned`) is retained across epochs so the steady-state barrier
+/// allocates nothing.
 struct FleetCtrl {
-    /// The most recent cap push fully succeeded (Set and Activate). A
-    /// half-applied push leaves the BMC on a cap the manager never
-    /// confirmed, so only a fully clean push may be elided later.
-    push_ok: Vec<bool>,
-    /// Fleet-side cap-violation streaks (epochs over cap + margin).
-    viol_streak: Vec<u32>,
-    /// Consecutive barriers whose poll attempt failed (reset on any
-    /// successful poll). Feeds the circuit breakers.
-    timeout_streak: Vec<u32>,
     /// Per-node failover circuit breakers (only ticked for fleets that
     /// actually route failover work).
     breaker: Vec<BreakerState>,
@@ -198,13 +193,7 @@ struct FleetCtrl {
 
 impl FleetCtrl {
     fn new(n: usize) -> FleetCtrl {
-        FleetCtrl {
-            push_ok: vec![false; n],
-            viol_streak: vec![0; n],
-            timeout_streak: vec![0; n],
-            breaker: vec![BreakerState::Closed; n],
-            planned: vec![None; n],
-        }
+        FleetCtrl { breaker: vec![BreakerState::Closed; n], planned: vec![None; n] }
     }
 }
 
@@ -222,9 +211,9 @@ pub struct EpochRecord {
     /// watts) — the chaos harness checks cap compliance against these.
     pub readings: Vec<(u32, f64)>,
     /// Caps in effect after this epoch's push (node registration index,
-    /// watts): every cap pushed this epoch plus every elided one, whose
-    /// value the node was already enforcing. Unplanned nodes and failed
-    /// pushes are absent.
+    /// watts): every cap pushed and read back this epoch plus every
+    /// elided one, which the node had already confirmed. Unplanned nodes
+    /// and pushes that failed or did not read back are absent.
     pub caps: Vec<(u32, f64)>,
 }
 
@@ -234,6 +223,8 @@ pub struct NodeSummary {
     pub index: u32,
     pub name: String,
     pub health: NodeHealth,
+    /// The cap the node last confirmed ([`Dcm::last_cap_w`]): `None` if
+    /// its last push failed or did not read back.
     pub final_cap_w: Option<f64>,
     pub avg_power_w: f64,
     pub avg_freq_mhz: f64,
@@ -514,8 +505,6 @@ pub struct FleetBuilder {
     dead: Vec<usize>,
     observe: bool,
     workload: WorkloadSpec,
-    violation_margin_w: f64,
-    violation_after: u32,
 }
 
 impl FleetBuilder {
@@ -542,8 +531,6 @@ impl FleetBuilder {
             dead: Vec::new(),
             observe: false,
             workload: WorkloadSpec::RoundRobin,
-            violation_margin_w: 10.0,
-            violation_after: 3,
         }
     }
 
@@ -565,7 +552,10 @@ impl FleetBuilder {
         self
     }
 
-    /// Total group budget in watts (default: 135 W per node).
+    /// Total group budget in watts (default: 135 W per node). [`build`]
+    /// panics unless it is finite and positive.
+    ///
+    /// [`build`]: FleetBuilder::build
     pub fn budget_w(mut self, w: f64) -> Self {
         self.budget_w = Some(w);
         self
@@ -631,21 +621,15 @@ impl FleetBuilder {
         self
     }
 
-    /// Tune the fleet-side cap-violation detector: a node whose measured
-    /// power exceeds its last pushed cap by more than `margin_w` for
-    /// `epochs` consecutive barriers is flagged via
-    /// [`Dcm::set_cap_violating`] and held at `Degraded` until it
-    /// recovers. Defaults: 10 W over, 3 epochs.
-    pub fn violation_detector(mut self, margin_w: f64, epochs: u32) -> Self {
-        self.violation_margin_w = margin_w;
-        self.violation_after = epochs.max(1);
-        self
-    }
-
     /// Build the fleet: per-node machines (seeded from the fleet seed),
     /// management links (faulty if configured) and the DCM registry.
     pub fn build(self) -> Fleet {
         assert!(self.nodes > 0, "a fleet needs nodes");
+        let budget_w = self.budget_w.unwrap_or(135.0 * self.nodes as f64);
+        assert!(
+            budget_w.is_finite() && budget_w > 0.0,
+            "the fleet budget must be finite and positive, got {budget_w} W"
+        );
         let mut dcm = Dcm::new();
         if self.observe {
             dcm.obs = capsim_obs::Obs::enabled(OBS_EVENT_CAPACITY);
@@ -684,11 +668,9 @@ impl FleetBuilder {
         Fleet {
             epochs: self.epochs,
             epoch_s: self.epoch_s,
-            budget_w: self.budget_w.unwrap_or(135.0 * self.nodes as f64),
+            budget_w,
             policy: self.policy,
             parallel: self.parallel,
-            violation_margin_w: self.violation_margin_w,
-            violation_after: self.violation_after,
             ctrl: FleetCtrl::new(nodes.len()),
             breaker_transitions: 0,
             records: Vec::with_capacity(self.epochs as usize),
@@ -719,8 +701,6 @@ pub struct Fleet {
     /// The fleet's planner; each node's BMC holds its own clone.
     policy: Box<dyn CapPolicy>,
     parallel: bool,
-    violation_margin_w: f64,
-    violation_after: u32,
     ctrl: FleetCtrl,
     /// Breaker transitions so far (see [`FleetReport::breaker_transitions`]).
     breaker_transitions: u64,
@@ -815,13 +795,13 @@ impl Fleet {
     ///   map touches only each node's own state and records nothing.
     /// * **Root barrier (serial).** The root absorbs the captured wire
     ///   outcomes in registration order (so health bookkeeping, metrics
-    ///   and events are byte-identical to a serial run), detects cap
-    ///   violations, reallocates the budget through the fleet's
+    ///   and events are byte-identical to a serial run), reallocates the
+    ///   budget through the fleet's
     ///   [`CapPolicy`] (recording a `policy_plan` event when observed)
     ///   and plans the pushes — eliding any push whose cap is already
     ///   confirmed in effect.
     /// * **Push phase (one map over nodes).** The planned caps are
-    ///   pushed; the root absorbs the outcomes in order.
+    ///   pushed and read back; the root absorbs the outcomes in order.
     ///
     /// All cross-node decisions live in the serial root sections and
     /// every per-node wire exchange uses only that node's own link and
@@ -848,33 +828,9 @@ impl Fleet {
 
         // Root absorbs the poll outcomes in registration order.
         let mut demand: Vec<(NodeId, f64)> = Vec::with_capacity(n);
-        for (i, out) in outcomes.into_iter().enumerate() {
-            let id = self.nodes[i].id;
-            match self.dcm.absorb_power_poll(id, out) {
-                Ok(r) => {
-                    self.ctrl.timeout_streak[i] = 0;
-                    demand.push((id, r.current_w as f64));
-                }
-                Err(_) => self.ctrl.timeout_streak[i] += 1,
-            }
-        }
-
-        // Fleet-side cap-violation detection: compare each reading against
-        // the cap pushed at the *previous* barrier (before this round's
-        // push overwrites it). A node persistently over its cap — a BMC
-        // silently dropping cap commands answers the wire perfectly — is
-        // flagged and held Degraded until it comes back under.
-        for &(id, w) in &demand {
-            let streak = &mut self.ctrl.viol_streak[id.index()];
-            let over = self.dcm.last_cap_w(id).is_some_and(|cap| w > cap + self.violation_margin_w);
-            if over {
-                *streak += 1;
-                if *streak >= self.violation_after {
-                    self.dcm.set_cap_violating(id, true);
-                }
-            } else {
-                *streak = 0;
-                self.dcm.set_cap_violating(id, false);
+        for (sim, out) in self.nodes.iter().zip(outcomes) {
+            if let Ok(r) = self.dcm.absorb_power_poll(sim.id, out) {
+                demand.push((sim.id, r.current_w as f64));
             }
         }
 
@@ -886,9 +842,9 @@ impl Fleet {
         // breaker columns — never observability — and runs in
         // registration order at the barrier, so the outcome cannot depend
         // on the thread count. Circuit breakers tick first:
-        // they read this barrier's poll and violation streaks, so a node
-        // that just went dark is out of the routing heap in the same
-        // epoch its first poll fails.
+        // they read the manager's records as of this barrier's polls, so
+        // a node that just went dark is out of the routing heap in the
+        // same epoch its first poll fails.
         let rooms: Vec<Option<QueueRoom>> =
             self.nodes.iter().map(|s| s.load.queue_room()).collect();
         if rooms.iter().any(Option::is_some) {
@@ -925,17 +881,15 @@ impl Fleet {
             );
         }
 
-        // Plan the pushes. A push is elided when the last push fully
-        // succeeded (Set *and* Activate) and landed exactly this cap —
-        // then the BMC is provably already enforcing it.
+        // Plan the pushes. A push is elided when the node last confirmed
+        // exactly this cap: its last push read the limit back.
         self.ctrl.planned.fill(None);
         let mut pushes_skipped = 0u64;
         for &(id, cap) in &caps {
-            let i = id.index();
-            if self.ctrl.push_ok[i] && self.dcm.last_cap_w(id) == Some(cap) {
+            if self.dcm.last_cap_w(id) == Some(cap) {
                 pushes_skipped += 1;
             } else {
-                self.ctrl.planned[i] = Some(self.dcm.limit_for(cap));
+                self.ctrl.planned[id.index()] = Some(self.dcm.limit_for(cap));
             }
         }
 
@@ -962,14 +916,9 @@ impl Fleet {
                 let cap = planned_caps.next_if(|&&(id, _)| id.index() == i).map(|&(_, c)| c);
                 match (out, cap) {
                     (Some(push), Some(cap)) => {
-                        let id = self.nodes[i].id;
-                        match self.dcm.absorb_cap_push(id, cap, push) {
-                            Ok(()) => {
-                                self.ctrl.push_ok[i] = true;
-                                wire_pushes += 1;
-                                caps_in_effect.push((i as u32, cap));
-                            }
-                            Err(_) => self.ctrl.push_ok[i] = false,
+                        if self.dcm.absorb_cap_push(self.nodes[i].id, cap, push).is_ok() {
+                            wire_pushes += 1;
+                            caps_in_effect.push((i as u32, cap));
                         }
                     }
                     // Elided push: the cap is already in effect.
@@ -1021,18 +970,20 @@ impl Fleet {
     }
 
     /// Tick the per-node failover circuit breakers at the root barrier
-    /// (called only for fleets that route failover work). Trips on a
-    /// poll-timeout streak of [`BREAKER_TRIP_AFTER`] or a cap-violation
-    /// streak at the violation detector's threshold; after
-    /// [`BREAKER_COOLDOWN`] epochs the breaker goes half-open (one probe),
-    /// and a clean barrier closes it. Transitions are counted on control
+    /// (called only for fleets that route failover work). Trips when the
+    /// node's consecutive failed transactions reach [`BREAKER_TRIP_AFTER`]
+    /// or its last cap push did not read back ([`Dcm::cap_violating`]);
+    /// after [`BREAKER_COOLDOWN`] epochs the breaker goes half-open (one
+    /// probe), and a clean barrier closes it. Transitions are counted on control
     /// state and recorded as typed obs events with node attribution;
     /// recording is obs-gated, the state machine itself never reads
     /// observability.
     fn update_breakers(&mut self, epoch: u32, barrier_t_s: f64) {
         for i in 0..self.nodes.len() {
-            let tripping = self.ctrl.timeout_streak[i] >= BREAKER_TRIP_AFTER
-                || self.ctrl.viol_streak[i] >= self.violation_after;
+            let id = self.nodes[i].id;
+            let (failures, violating) =
+                (self.dcm.consecutive_failures(id), self.dcm.cap_violating(id));
+            let tripping = failures >= BREAKER_TRIP_AFTER || violating;
             let cur = self.ctrl.breaker[i];
             let next = match cur {
                 BreakerState::Closed => {
@@ -1052,7 +1003,7 @@ impl Fleet {
                 // Half-open resolves strictly: any failure or violation
                 // at this barrier re-opens, a fully clean barrier closes.
                 BreakerState::HalfOpen => {
-                    if self.ctrl.timeout_streak[i] > 0 || self.ctrl.viol_streak[i] > 0 {
+                    if failures > 0 || violating {
                         BreakerState::Open { until: epoch.saturating_add(BREAKER_COOLDOWN) }
                     } else {
                         BreakerState::Closed
@@ -1351,7 +1302,8 @@ mod tests {
         assert!(pushed >= 3, "the first epoch has no cached caps to elide");
         assert!(elided > 0, "steady-state caps are elided");
         assert_eq!(obs.metrics.counter("dcm.caps_pushed"), pushed);
-        // Every wire push is a Set + Activate pair; polls add more.
+        // Every wire push is a Set, an Activate and a read-back; polls add
+        // more.
         assert!(obs.metrics.counter("ipmi.transactions") >= 3 * pushed);
         assert!(obs.metrics.counter("machine.ticks") > 0);
         // The histogram sees every answered node every epoch.
@@ -1400,11 +1352,11 @@ mod tests {
         let on = build(true);
         let obs = on.obs.as_ref().expect("observed run");
         // Clean links: every barrier polls every node once, and every
-        // pushed cap is one Set and one Activate.
+        // pushed cap is one Set, one Activate and one read-back.
         assert_eq!(
             obs.metrics.counter("ipmi.transactions"),
-            nodes * epochs + 2 * obs.metrics.counter("dcm.caps_pushed"),
-            "one poll per node per barrier plus two transactions per pushed cap"
+            nodes * epochs + 3 * obs.metrics.counter("dcm.caps_pushed"),
+            "one poll per node per barrier plus three transactions per pushed cap"
         );
         assert!(obs.metrics.counter("fleet.cap_pushes_skipped") > 0, "steady caps are elided");
         assert!(obs.metrics.counter("machine.idle_skips") > 0, "idle spans fast-forward");
@@ -1483,18 +1435,10 @@ mod tests {
     fn lost_cap_commands_are_flagged_by_the_violation_detector() {
         // Node 1's BMC acks every SET_POWER_LIMIT on the wire but never
         // commits it: management traffic looks perfectly healthy while
-        // measured power never comes down. Only the fleet-side violation
-        // detector can see this.
-        let mut fleet = FleetBuilder::new()
-            .nodes(2)
-            .epochs(8)
-            .seed(23)
-            .budget_w(220.0)
-            // 20 W margin: a compliant node throttled to the 110 W floor
-            // still overshoots it by ~13 W (the floor is the ladder's
-            // physical limit, not a promise), and must not be flagged.
-            .violation_detector(20.0, 2)
-            .build();
+        // measured power never comes down. Only each push's read-back can
+        // see this. Node 0 obeys its 110 W caps from its throttle floor,
+        // above the cap, and must not be flagged.
+        let mut fleet = FleetBuilder::new().nodes(2).epochs(8).seed(23).budget_w(220.0).build();
         fleet.machine_mut(1).set_lost_cap_commands(true);
         while fleet.epochs_run() < fleet.epochs() {
             fleet.step_epoch();
@@ -1508,6 +1452,22 @@ mod tests {
         assert_eq!(fleet.dcm().health(fleet.dcm().id_at(0).unwrap()), NodeHealth::Healthy);
         let report = fleet.finish();
         assert_eq!(report.summaries[1].health, NodeHealth::Degraded { consecutive_failures: 0 });
+        // No cap was ever confirmed on node 1, so none is reported in effect.
+        for r in &report.records {
+            assert!(r.caps.iter().all(|&(i, _)| i != 1), "epoch {}: {:?}", r.epoch, r.caps);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the fleet budget must be finite and positive")]
+    fn a_nan_budget_is_rejected() {
+        FleetBuilder::new().nodes(2).budget_w(f64::NAN).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "the fleet budget must be finite and positive")]
+    fn an_infinite_budget_is_rejected() {
+        FleetBuilder::new().nodes(2).budget_w(f64::INFINITY).build();
     }
 
     #[test]

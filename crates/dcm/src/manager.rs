@@ -57,13 +57,16 @@ impl NodeId {
     }
 }
 
-/// Management-plane health of a node, as seen by the DCM.
+/// Management-plane health of a node, as seen by the DCM: a function of
+/// its consecutive failed transactions and of whether its last cap push
+/// was confirmed ([`Dcm::cap_violating`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeHealth {
-    /// Last transaction succeeded.
+    /// The last transaction succeeded and the node is not flagged.
     Healthy,
-    /// Recent transactions failed (transiently); the node is still
-    /// budgeted but flagged.
+    /// Recent transactions failed (transiently), or the node's last cap
+    /// push did not read back. The node is still budgeted, but gets no
+    /// failover work.
     Degraded { consecutive_failures: u32 },
     /// Failures reached [`Dcm::UNRESPONSIVE_AFTER`]; the node is excluded
     /// from budgeting until it answers again.
@@ -79,44 +82,60 @@ impl NodeHealth {
 
 struct NodeEntry {
     name: String,
-    health: NodeHealth,
     consecutive_failures: u32,
     last_cap_w: Option<f64>,
-    /// Set by fleet-side cap-violation detection: the node answers
-    /// management traffic but its measured power sits above its cap. Held
-    /// at [`NodeHealth::Degraded`] (never promoted back to `Healthy` by a
-    /// successful transaction) until the violation clears — a node whose
-    /// BMC silently drops cap commands looks perfectly healthy on the
-    /// wire.
+    /// The node's last cap push did not read back: it acked the cap on
+    /// the wire but does not hold it.
     cap_violating: bool,
 }
 
-/// A captured cap push: the *Set Power Limit* outcome plus — only when the
-/// set came back with an OK completion — the *Activate Power Limit*
-/// outcome (a limit the node refused is never activated). Absorbed via
-/// [`Dcm::absorb_cap_push`].
+impl NodeEntry {
+    fn health(&self) -> NodeHealth {
+        if self.consecutive_failures >= Dcm::UNRESPONSIVE_AFTER {
+            NodeHealth::Unresponsive
+        } else if self.consecutive_failures > 0 || self.cap_violating {
+            NodeHealth::Degraded { consecutive_failures: self.consecutive_failures }
+        } else {
+            NodeHealth::Healthy
+        }
+    }
+}
+
+/// A captured cap push: the *Set Power Limit* outcome; only when the set
+/// came back with an OK completion, the *Activate Power Limit* outcome (a
+/// limit the node refused is never activated); and only when that too
+/// completed OK, a *Get Power Limit* read-back. Absorbed via
+/// [`Dcm::absorb_cap_push`], which confirms the push only if `limit`
+/// reads back.
 #[derive(Debug)]
 pub struct CapPushOutcome {
+    pub limit: PowerLimit,
     pub set: WireOutcome,
     pub activate: Option<WireOutcome>,
+    pub read_back: Option<WireOutcome>,
 }
 
 impl CapPushOutcome {
-    /// Run the Set+Activate sequence over `link`, capturing both
-    /// outcomes without touching any shared manager state.
+    /// Run the Set, Activate and read-back sequence over `link`,
+    /// capturing each outcome without touching any shared manager state.
     pub fn capture(
         link: &mut dyn Transact,
         retry: &RetryPolicy,
         limit: PowerLimit,
     ) -> CapPushOutcome {
+        let ok =
+            |out: &WireOutcome| matches!(&out.result, Ok(r) if r.completion == CompletionCode::Ok);
         let set = WireOutcome::capture(link, retry, &move |seq| SetPowerLimit(limit).request(seq));
-        let set_ok = matches!(&set.result, Ok(r) if r.completion == CompletionCode::Ok);
-        let activate = set_ok.then(|| {
+        let activate = ok(&set).then(|| {
             WireOutcome::capture(link, retry, &|seq| {
                 ActivatePowerLimit { activate: true }.request(seq)
             })
         });
-        CapPushOutcome { set, activate }
+        let read_back = activate
+            .as_ref()
+            .is_some_and(ok)
+            .then(|| WireOutcome::capture(link, retry, &|seq| GetPowerLimit::request(seq)));
+        CapPushOutcome { limit, set, activate, read_back }
     }
 }
 
@@ -166,7 +185,6 @@ impl Dcm {
     pub fn register(&mut self, name: impl Into<String>) -> NodeId {
         self.nodes.push(NodeEntry {
             name: name.into(),
-            health: NodeHealth::Healthy,
             consecutive_failures: 0,
             last_cap_w: None,
             cap_violating: false,
@@ -185,50 +203,33 @@ impl Dcm {
 
     /// Management-plane health of a node.
     pub fn health(&self, node: NodeId) -> NodeHealth {
-        self.nodes[node.index()].health
+        self.nodes[node.index()].health()
     }
 
-    /// The cap most recently pushed to a node, if any.
+    /// The cap the node last confirmed: its last push read back the limit
+    /// pushed. `None` before the first confirmed push, after an uncap, and
+    /// from the moment a push starts until that push is confirmed.
     pub fn last_cap_w(&self, node: NodeId) -> Option<f64> {
         self.nodes[node.index()].last_cap_w
     }
 
-    /// True when fleet-side detection has flagged the node as violating
-    /// its cap (see [`Dcm::set_cap_violating`]).
+    /// True when the node's last cap push was not confirmed: it answered
+    /// the read-back with another limit or an error completion. The next
+    /// confirmed push clears it.
     pub fn cap_violating(&self, node: NodeId) -> bool {
         self.nodes[node.index()].cap_violating
     }
 
-    /// Flag (or clear) a node as violating its power cap despite healthy
-    /// management traffic. While flagged, the node is held at
-    /// [`NodeHealth::Degraded`] — successful transactions no longer
-    /// promote it back to `Healthy` — so budgeting and dashboards see the
-    /// misbehaviour. Clearing the flag restores `Healthy` on the next
-    /// successful transaction (or immediately, if the hold is the only
-    /// thing keeping it degraded).
-    pub fn set_cap_violating(&mut self, node: NodeId, violating: bool) {
-        let e = &mut self.nodes[node.index()];
-        if e.cap_violating == violating {
-            return;
-        }
-        e.cap_violating = violating;
-        let old = e.health;
-        if violating {
-            if matches!(e.health, NodeHealth::Healthy) {
-                e.health = NodeHealth::Degraded { consecutive_failures: 0 };
-            }
-        } else if e.health == (NodeHealth::Degraded { consecutive_failures: 0 }) {
-            // Degraded purely by the hold — no real failures outstanding.
-            e.health = NodeHealth::Healthy;
-        }
-        let new = e.health;
-        self.note_health_transition(node, old, new);
+    /// The node's consecutive failed transactions (any command), reset by
+    /// the next one that succeeds.
+    pub(crate) fn consecutive_failures(&self, node: NodeId) -> u32 {
+        self.nodes[node.index()].consecutive_failures
     }
 
     /// Handles of all nodes currently participating in budgeting.
     pub fn responsive_nodes(&self) -> Vec<NodeId> {
         (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].health.is_responsive())
+            .filter(|&i| self.nodes[i].health().is_responsive())
             .map(NodeId::from_index)
             .collect()
     }
@@ -236,34 +237,31 @@ impl Dcm {
     // ------------------------------------------------------- health plumbing
 
     fn record_success(&mut self, node: NodeId) {
-        let e = &mut self.nodes[node.index()];
-        let old = e.health;
-        e.consecutive_failures = 0;
-        // A cap-violating node is held at Degraded: answering a DCMI
-        // command proves the wire works, not that the cap is honoured.
-        e.health = if e.cap_violating {
-            NodeHealth::Degraded { consecutive_failures: 0 }
-        } else {
-            NodeHealth::Healthy
-        };
-        let new = e.health;
-        self.note_health_transition(node, old, new);
+        let old = self.health(node);
+        self.nodes[node.index()].consecutive_failures = 0;
+        self.note_health_transition(node, old);
     }
 
     fn record_failure(&mut self, node: NodeId) {
-        let e = &mut self.nodes[node.index()];
-        let old = e.health;
-        e.consecutive_failures += 1;
-        e.health = if e.consecutive_failures >= Self::UNRESPONSIVE_AFTER {
-            NodeHealth::Unresponsive
-        } else {
-            NodeHealth::Degraded { consecutive_failures: e.consecutive_failures }
-        };
-        let new = e.health;
-        self.note_health_transition(node, old, new);
+        let old = self.health(node);
+        self.nodes[node.index()].consecutive_failures += 1;
+        self.note_health_transition(node, old);
     }
 
-    fn note_health_transition(&mut self, node: NodeId, old: NodeHealth, new: NodeHealth) {
+    /// Flag (or clear) a node whose cap push did not read back. While
+    /// flagged, the node is held at [`NodeHealth::Degraded`]: answering a
+    /// DCMI command proves the wire works, not that the cap is held. The
+    /// hold takes the node out of failover routing and trips its failover
+    /// breaker; the node keeps its budget share, since [`Dcm::plan_with`]
+    /// plans every node that answered and the cap must be pushed again.
+    fn set_cap_violating(&mut self, node: NodeId, violating: bool) {
+        let old = self.health(node);
+        self.nodes[node.index()].cap_violating = violating;
+        self.note_health_transition(node, old);
+    }
+
+    fn note_health_transition(&mut self, node: NodeId, old: NodeHealth) {
+        let new = self.health(node);
         // Label-level transitions only: Degraded{1}→Degraded{2} is not a
         // state change worth an event.
         if health_label(old) == health_label(new) {
@@ -343,20 +341,40 @@ impl Dcm {
         resp.into_ok().and_then(|p| PowerReading::decode(&p)).map_err(|e| self.wrap_err(node, e))
     }
 
-    /// Absorb a captured Set+Activate cap push (see [`CapPushOutcome`]).
-    /// On full success the cap is remembered and counted.
+    /// Absorb a captured cap push (see [`CapPushOutcome`]). The push is
+    /// confirmed only when the limit reads back equal to the one pushed;
+    /// then the cap is remembered and counted, and any flag cleared. A
+    /// node that answers the read-back with another limit or an error
+    /// completion is flagged ([`Dcm::cap_violating`]) and the push fails
+    /// with a non-transient error. A read-back lost on the wire is an
+    /// ordinary transaction failure and leaves the flag as it was.
     pub fn absorb_cap_push(
         &mut self,
         node: NodeId,
         watts: f64,
         push: CapPushOutcome,
     ) -> Result<(), DcmError> {
+        self.nodes.get_mut(node.index()).ok_or(DcmError::UnknownNode(node))?.last_cap_w = None;
         self.absorb(node, push.set)?.into_ok().map_err(|e| self.wrap_err(node, e))?;
         let activate = push.activate.expect("set succeeded, so activate was issued");
         self.absorb(node, activate)?.into_ok().map_err(|e| self.wrap_err(node, e))?;
+        let read_back = push.read_back.expect("activate succeeded, so the limit was read back");
+        let resp = self.absorb(node, read_back)?;
+        let read = self.decode_limit(node, resp);
+        self.set_cap_violating(node, read != Ok(push.limit));
+        let read = read?;
+        if read != push.limit {
+            let name = self.nodes[node.index()].name.clone();
+            return Err(DcmError::CapNotHeld { node, name, pushed: push.limit, read });
+        }
         self.nodes[node.index()].last_cap_w = Some(watts);
         self.obs.metrics.inc("dcm.caps_pushed");
         Ok(())
+    }
+
+    /// Decode a *Get Power Limit* answer.
+    fn decode_limit(&self, node: NodeId, resp: Response) -> Result<PowerLimit, DcmError> {
+        resp.into_ok().and_then(|p| PowerLimit::decode(&p)).map_err(|e| self.wrap_err(node, e))
     }
 
     // ---------------------------------------------------------- transactions
@@ -381,7 +399,8 @@ impl Dcm {
         }
     }
 
-    /// Set and activate a cap on one node over `link`.
+    /// Set and activate a cap on one node over `link`, and confirm it by
+    /// reading it back.
     pub fn cap_node(
         &mut self,
         node: NodeId,
@@ -410,7 +429,7 @@ impl Dcm {
     ) -> Result<PowerLimit, DcmError> {
         let out = WireOutcome::capture(link, &self.retry, &|seq| GetPowerLimit::request(seq));
         let resp = self.absorb(node, out)?;
-        resp.into_ok().and_then(|p| PowerLimit::decode(&p)).map_err(|e| self.wrap_err(node, e))
+        self.decode_limit(node, resp)
     }
 
     // ------------------------------------------------------- group budgeting
@@ -630,9 +649,16 @@ mod tests {
         let mut link = BmcLink::new(LanChannel::pair(), 150.0);
         let mut dcm = Dcm::new();
         let id = dcm.register("violator");
+        dcm.cap_node(id, &mut link, 140.0).unwrap();
 
-        dcm.set_cap_violating(id, true);
+        // The BMC acks the next push on the wire but keeps its 140 W limit.
+        link.bmc.set_lost_cap_commands(true);
+        let err = dcm.cap_node(id, &mut link, 130.0).unwrap_err();
+        assert!(matches!(&err, DcmError::CapNotHeld { read, .. } if read.limit_w == 140), "{err}");
+        assert!(!err.is_transient());
+        assert_eq!(err.node(), id);
         assert!(dcm.cap_violating(id));
+        assert_eq!(dcm.last_cap_w(id), None, "an unconfirmed push leaves no cap to elide");
         assert_eq!(dcm.health(id), NodeHealth::Degraded { consecutive_failures: 0 });
         // A successful transaction must NOT promote the node back.
         dcm.read_power(id, &mut link).unwrap();
@@ -641,10 +667,37 @@ mod tests {
         // needs the cap pushed at it, after all), it is just not Healthy.
         assert_eq!(dcm.responsive_nodes(), vec![id]);
 
-        dcm.set_cap_violating(id, false);
+        // A read-back lost on the wire is an ordinary failure: the flag
+        // stays as it was.
+        let limit = dcm.limit_for(130.0);
+        let acked = |req: Request| WireOutcome {
+            result: Ok(Response::ok(&req, vec![capsim_ipmi::DCMI_GROUP_EXT])),
+            attempts: 1,
+        };
+        let push = CapPushOutcome {
+            limit,
+            set: acked(SetPowerLimit(limit).request(1)),
+            activate: Some(acked(ActivatePowerLimit { activate: true }.request(2))),
+            read_back: Some(WireOutcome { result: Err(IpmiError::TimedOut), attempts: 3 }),
+        };
+        assert!(dcm.absorb_cap_push(id, 130.0, push).unwrap_err().is_transient());
+        assert!(dcm.cap_violating(id));
+        assert_eq!(dcm.health(id), NodeHealth::Degraded { consecutive_failures: 1 });
+
+        // The next confirmed push clears the flag.
+        link.bmc.set_lost_cap_commands(false);
+        dcm.cap_node(id, &mut link, 130.0).unwrap();
         assert!(!dcm.cap_violating(id));
+        assert_eq!(dcm.last_cap_w(id), Some(130.0));
         assert_eq!(dcm.health(id), NodeHealth::Healthy);
-        dcm.read_power(id, &mut link).unwrap();
-        assert_eq!(dcm.health(id), NodeHealth::Healthy);
+
+        // A node that never held a limit answers the read-back with an
+        // error completion, which flags it too.
+        let mut fresh = BmcLink::new(LanChannel::pair(), 150.0);
+        fresh.bmc.set_lost_cap_commands(true);
+        let other = dcm.register("never-capped");
+        let err = dcm.cap_node(other, &mut fresh, 130.0).unwrap_err();
+        assert!(!err.is_transient(), "{err}");
+        assert!(dcm.cap_violating(other));
     }
 }

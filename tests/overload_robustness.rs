@@ -148,8 +148,8 @@ fn backpressure_converges_where_retry_only_collapses() {
     );
 }
 
-/// The fault windows (sensor dropout, BMC crash) drive poll-timeout and
-/// violation streaks at the barrier; the circuit breakers must actually
+/// The fault windows (sensor dropout, BMC crash) drive the manager's
+/// failure counts at the barrier; the circuit breakers must actually
 /// move — and their transitions must be typed, node-attributed events.
 /// The breakers run on control state, so an unobserved run reports the
 /// same count.
