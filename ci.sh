@@ -25,6 +25,10 @@ echo "== capsim-mem again in release (its oracles check the cache/TLB fast paths
 echo "   as the benchmark builds them: no debug assertions, wrapping shifts)"
 cargo test --release -q -p capsim-mem
 
+echo "== capsim-node again in release (the hit-charge table and the load-stream == load-loop"
+echo "   tests run as the benchmark builds them, with no debug re-check of table answers)"
+cargo test --release -q -p capsim-node
+
 echo "== determinism suites again with more workers than cores (CAPSIM_THREADS=4):"
 echo "   goldens and serial == parallel must hold on an oversubscribed pool"
 CAPSIM_THREADS=4 cargo test --release -q --test fleet_determinism --test traffic_determinism \

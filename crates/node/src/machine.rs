@@ -159,44 +159,58 @@ pub struct RunStats {
     pub rapl: RaplCounters,
 }
 
-/// One-entry memo of a charge's time conversion at the current rung:
-/// `(cycles, ns)` → `(unhalted_ns, wall_ns)`, keyed on the exact bits of
-/// the inputs. A workload charges only a handful of distinct values per
-/// rung (an L1 hit, a fetched block, an L2 hit…), so runs of identical
-/// charges skip the two divisions and the P-state lookup. A miss computes
-/// the value with the same expressions, so a hit is bit-exact by
-/// construction; [`Machine::set_rung`] clears the memo whenever frequency
-/// or duty can change.
-#[derive(Clone, Copy, Debug)]
-struct ChargeMemo {
-    key: (u64, u64),
-    val: (f64, f64),
+/// A converted charge: `(cycles, unhalted_ns, wall_ns)`.
+type Charge = (f64, f64, f64);
+
+/// The conversion of a charge into time at `rung`: `cycles` core cycles
+/// at the rung's frequency take `unhalted_ns`, the T-state duty stretches
+/// them on the wall clock, and `ns` of DRAM time adds unscaled. Every
+/// charge is converted here and nowhere else.
+#[inline]
+fn charge_times(cycles: f64, ns: f64, pstates: &PStateTable, rung: &Rung) -> Charge {
+    let unhalted_ns = cycles * 1e3 / pstates.get(rung.pstate).freq_mhz;
+    (cycles, unhalted_ns, unhalted_ns / rung.tstate.duty() + ns)
 }
 
-impl ChargeMemo {
-    /// Zero cycles plus zero ns take `(+0.0, +0.0)` at every rung, so the
-    /// cleared entry is exact without knowing the rung.
-    const CLEAR: ChargeMemo = ChargeMemo { key: (0, 0), val: (0.0, 0.0) };
+/// Slots of [`HitCharges`]. The E5 and tiny hierarchies' L1, L2 and L3
+/// hits (4, 10 and 23 cycles) land in distinct slots.
+const HIT_SLOTS: usize = 4;
 
+/// The charges of pipelined loads that stayed in the caches, converted at
+/// the current rung: a direct-mapped table keyed on the hierarchy's
+/// integer cycle count ([`capsim_mem::AccessOutcome::cycles`]), one slot
+/// per key's low bits.
+///
+/// Without DRAM time a pipelined load's charge is a pure function of its
+/// cycle count (the timing parameters and the L1D hit latency are fixed
+/// for the machine's life), and its conversion a pure function of that
+/// charge and the rung. A slot answers only its own whole key, a miss
+/// converts with [`charge_times`] and keeps the result, and
+/// [`Machine::set_rung`] clears the table, so every answer is the
+/// conversion's own bits.
+#[derive(Clone, Copy, Debug)]
+struct HitCharges([(u64, Charge); HIT_SLOTS]);
+
+impl HitCharges {
+    /// No access takes `u64::MAX` cycles, so an empty slot never answers.
+    const CLEAR: HitCharges = HitCharges([(u64::MAX, (0.0, 0.0, 0.0)); HIT_SLOTS]);
+
+    /// The charge of a pipelined load that took `cycles` cycles and no
+    /// DRAM time; `convert` computes it on a miss.
     #[inline]
-    fn times(&mut self, cycles: f64, ns: f64, pstates: &PStateTable, rung: &Rung) -> (f64, f64) {
-        let key = (cycles.to_bits(), ns.to_bits());
-        let compute = || {
-            let unhalted_ns = cycles * 1e3 / pstates.get(rung.pstate).freq_mhz;
-            (unhalted_ns, unhalted_ns / rung.tstate.duty() + ns)
-        };
-        if self.key == key {
-            let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+    fn get(&mut self, cycles: u64, convert: impl Fn() -> Charge) -> Charge {
+        let slot = &mut self.0[cycles as usize % HIT_SLOTS];
+        if slot.0 == cycles {
+            let bits = |(a, b, c): Charge| (a.to_bits(), b.to_bits(), c.to_bits());
             debug_assert_eq!(
-                bits(compute()),
-                bits(self.val),
-                "charge memo diverged from the recomputed conversion for {cycles} cycles + {ns} ns"
+                bits(convert()),
+                bits(slot.1),
+                "hit charge diverged from the recomputed conversion for {cycles} cycles"
             );
-            return self.val;
+            return slot.1;
         }
-        self.key = key;
-        self.val = compute();
-        self.val
+        *slot = (cycles, convert());
+        slot.1
     }
 }
 
@@ -261,10 +275,10 @@ pub struct Machine {
     clock: SimClock,
     cores: Vec<CoreState>,
     active_core: usize,
-    /// Changed only through [`Machine::set_rung`], which keeps
-    /// `charge_memo` in step with it.
+    /// Changed only through [`Machine::set_rung`], which clears
+    /// `hit_charges`, the charges converted at the old rung.
     rung: Rung,
-    charge_memo: ChargeMemo,
+    hit_charges: HitCharges,
     bmc: Bmc,
     bmc_port: Option<BmcPort>,
     /// The request books: always on, empty unless a workload serves.
@@ -336,7 +350,7 @@ impl Machine {
             cores,
             active_core: 0,
             rung,
-            charge_memo: ChargeMemo::CLEAR,
+            hit_charges: HitCharges::CLEAR,
             bmc: Bmc::new(ladder),
             bmc_port: None,
             serving: Metrics::enabled(),
@@ -465,8 +479,12 @@ impl Machine {
     /// active core and advance time.
     #[inline]
     fn charge(&mut self, cycles: f64, ns: f64) {
-        let (unhalted_ns, wall_ns) =
-            self.charge_memo.times(cycles, ns, &self.cfg.pstates, &self.rung);
+        self.book(charge_times(cycles, ns, &self.cfg.pstates, &self.rung));
+    }
+
+    /// Book a converted charge to the active core and advance time.
+    #[inline]
+    fn book(&mut self, (cycles, unhalted_ns, wall_ns): Charge) {
         self.freq_meter.record(cycles, unhalted_ns);
         let core = &mut self.cores[self.active_core];
         core.unhalted_cycles_f += cycles;
@@ -528,17 +546,20 @@ impl Machine {
             c.loads += 1;
         }
         self.win_instr += 1;
-        let (cycles, ns) = if serial {
-            (out.cycles as f64, out.ns)
-        } else {
-            let hidden = self.cfg.hierarchy.l1d.hit_cycles as f64;
-            (
-                self.timing.base_cycles(1)
-                    + (out.cycles as f64 - hidden).max(0.0) * self.timing.cache_exposed,
-                out.ns * self.timing.dram_exposed,
-            )
+        if serial {
+            self.charge(out.cycles as f64, out.ns);
+            return;
+        }
+        let (pstates, rung, timing) = (&self.cfg.pstates, &self.rung, &self.timing);
+        let hidden = self.cfg.hierarchy.l1d.hit_cycles as f64;
+        let convert = || {
+            let cycles = timing.base_cycles(1)
+                + (out.cycles as f64 - hidden).max(0.0) * timing.cache_exposed;
+            charge_times(cycles, out.ns * timing.dram_exposed, pstates, rung)
         };
-        self.charge(cycles, ns);
+        let charge =
+            if out.ns == 0.0 { self.hit_charges.get(out.cycles, convert) } else { convert() };
+        self.book(charge);
     }
 
     /// A pipelined load: L1 hits are free beyond the issue slot; miss
@@ -588,9 +609,10 @@ impl Machine {
     /// hoisted out of the access loop, and the loop borrows the
     /// hierarchy/clock/counters once instead of re-resolving `&mut self`
     /// per access. The arithmetic is kept expression-for-expression
-    /// identical to [`Machine::data_op`], the time conversion goes
-    /// through the same [`ChargeMemo`] as [`Machine::charge`], and the
-    /// loop breaks out to [`Machine::tick`] at exactly the boundaries the
+    /// identical to [`Machine::data_op`], a pipelined load that stayed in
+    /// the caches takes its charge from the same [`HitCharges`] table,
+    /// every other load converts through [`charge_times`], and the loop
+    /// breaks out to [`Machine::tick`] at exactly the boundaries the
     /// per-access path would have hit, so the batch is bit-exact with
     /// calling [`Machine::load`] in a loop.
     fn data_stream(
@@ -619,7 +641,7 @@ impl Machine {
                 cores,
                 win_instr,
                 win_cycles,
-                charge_memo,
+                hit_charges,
                 cfg,
                 rung,
                 ..
@@ -634,15 +656,20 @@ impl Machine {
                 core.counters.instructions_executed += 1;
                 core.counters.loads += 1;
                 *win_instr += 1;
-                let (cycles, ns) = if serial {
-                    (out.cycles as f64, out.ns)
+                let (cycles, unhalted_ns, wall_ns) = if serial {
+                    charge_times(out.cycles as f64, out.ns, &cfg.pstates, rung)
                 } else {
-                    (
-                        base_cycles + (out.cycles as f64 - hidden).max(0.0) * cache_exposed,
-                        out.ns * dram_exposed,
-                    )
+                    let convert = || {
+                        let cycles =
+                            base_cycles + (out.cycles as f64 - hidden).max(0.0) * cache_exposed;
+                        charge_times(cycles, out.ns * dram_exposed, &cfg.pstates, rung)
+                    };
+                    if out.ns == 0.0 {
+                        hit_charges.get(out.cycles, convert)
+                    } else {
+                        convert()
+                    }
                 };
-                let (unhalted_ns, wall_ns) = charge_memo.times(cycles, ns, &cfg.pstates, rung);
                 freq_meter.record(cycles, unhalted_ns);
                 core.unhalted_cycles_f += cycles;
                 core.win_wall_ns += wall_ns;
@@ -1044,10 +1071,10 @@ impl Machine {
     }
 
     /// The one place `self.rung` changes: a new frequency or duty makes
-    /// the memoized charge conversion stale.
+    /// every charge in `hit_charges` stale, so the table is cleared.
     fn set_rung(&mut self, rung: Rung) {
         self.rung = rung;
-        self.charge_memo = ChargeMemo::CLEAR;
+        self.hit_charges = HitCharges::CLEAR;
     }
 
     // -------------------------------------------------------------- results
@@ -1428,30 +1455,134 @@ mod tests {
     }
 
     #[test]
-    fn a_rung_change_invalidates_the_charge_memo() {
-        // 8100 instructions are 2700 cycles: 1000 ns at P0, and whole
-        // nanoseconds at the target rungs too, so every clock sum below is
-        // exact and the advance can be compared bit for bit.
-        for (pstate, duty_16) in [(15, 4), (0, 8)] {
+    fn a_rung_change_clears_the_hit_charges() {
+        // P-state only, then duty only.
+        for (pstate, duty_16) in [(15, 16), (0, 8)] {
             let mut m = machine();
-            m.compute(8100);
-            m.compute(8100); // a memo hit at P0
-            assert_eq!(m.clock.now_ns(), 2000.0);
+            let line = m.alloc(PAGE_SIZE).at(0);
+            m.load(line); // cold: warms the line and its page
+            m.load(line); // an L1 hit, converted and kept
+            let before = m.clock.now_ns();
+            m.load(line); // the same hit, answered by the table
+            let p0_advance = m.clock.now_ns() - before;
             m.force_throttle(pstate, duty_16);
             let before = m.clock.now_ns();
-            m.compute(8100);
-            let advance = m.clock.now_ns() - before;
+            m.load(line);
+            let after = m.clock.now_ns();
 
             let mut fresh = machine();
+            let fresh_line = fresh.alloc(PAGE_SIZE).at(0);
             fresh.force_throttle(pstate, duty_16);
-            fresh.compute(8100);
+            fresh.hier.data_access(0, fresh_line, false); // warm, uncharged
+            fresh.load(fresh_line);
+            // The fresh clock started at zero, so it reads the conversion
+            // itself, and adding it is the old machine's own clock step.
             assert_eq!(
-                advance.to_bits(),
-                fresh.clock.now_ns().to_bits(),
+                after.to_bits(),
+                (before + fresh.clock.now_ns()).to_bits(),
                 "rung ({pstate}, {duty_16})"
             );
-            assert_ne!(advance, 1000.0, "the P0 conversion was not reused");
+            assert_ne!(after - before, p0_advance, "the P0 conversion was not reused");
         }
+    }
+
+    /// Walks every rung of the E5 ladder on one machine, forcing its
+    /// P-state and duty, and checks that L1-, L2- and L3-hit pipelined
+    /// loads (the first of each converted, the next answered by the hit
+    /// table) advance the clock by exactly the conversion restated here,
+    /// and that a load reaching DRAM at an L3 hit's cycle count is
+    /// charged its DRAM time without disturbing the next L3 hit.
+    fn check_hit_charges_at_every_rung(mut cfg: MachineConfig) {
+        // No prefetches: every line below sits exactly where its loads put it.
+        cfg.hierarchy.l2_prefetch = false;
+        let mut m = Machine::new(cfg.clone());
+        let (t, h) = (cfg.timing, cfg.hierarchy);
+        // The tiny hierarchy: L1D 2 sets, L2 8 sets, L3 16 sets, 8 DTLB
+        // entries, so set indices come from the page offset alone.
+        assert_eq!((h.l1d.sets(), h.l2.sets(), h.l3.sets()), (2, 8, 16));
+        let l1 = h.l1d.hit_cycles as u64;
+        let l2 = l1 + h.l2.hit_cycles as u64;
+        let l3 = l2 + h.l3.hit_cycles as u64;
+        let r = m.alloc(4 * PAGE_SIZE);
+        // X and A fall in L2 set 0, B in set 1, all on page 0.
+        let (x, a, b) = (r.at(0), r.at(16 * 64), r.at(33 * 64));
+        // Page 1's lines outside L2 sets 0 and 1 evict the L1D but none of
+        // X, A, B from the L2; pages 2 and 3 evict the L2 but not the L3.
+        let l1_sweep: Vec<_> =
+            (PAGE_SIZE..2 * PAGE_SIZE).step_by(64).filter(|o| o / 64 % 8 >= 2).collect();
+        let l2_sweep: Vec<_> = (2 * PAGE_SIZE..4 * PAGE_SIZE).step_by(64).collect();
+        // Cold at each rung's DRAM load (no other load touches it), on a
+        // page the DTLB holds by then.
+        let dram_line = r.at(PAGE_SIZE);
+
+        // One pipelined load that must hit at `level` (1, 2 or 3) without
+        // a TLB miss and advance the clock by exactly the conversion
+        // restated here; returns the advance.
+        let check = |m: &mut Machine, addr: VAddr, level: usize, rung: &Rung| {
+            let key = [l1, l2, l3][level - 1];
+            let cycles = t.base_cycles(1) + (key - l1) as f64 * t.cache_exposed;
+            let unhalted_ns = cycles * 1e3 / cfg.pstates.get(rung.pstate).freq_mhz;
+            let expected = unhalted_ns / rung.tstate.duty();
+            let (s0, before) = (m.mem_stats_now(), m.clock.now_ns());
+            m.load(addr);
+            let (s1, after) = (m.mem_stats_now(), m.clock.now_ns());
+            let missed = [
+                s1.l1d_misses - s0.l1d_misses,
+                s1.l2_misses - s0.l2_misses,
+                s1.l3_misses - s0.l3_misses,
+                s1.dtlb_misses - s0.dtlb_misses,
+            ];
+            let want = [(level > 1) as u64, (level > 2) as u64, 0, 0];
+            assert_eq!(missed, want, "L{level} hit at {rung:?}");
+            assert_eq!(
+                after.to_bits(),
+                (before + expected).to_bits(),
+                "L{level} hit of {key} cycles at {rung:?}"
+            );
+            after - before
+        };
+        for rung in ThrottleLadder::e5_2680(&cfg.pstates, cfg.full_mem()).iter() {
+            m.hier.flush_all();
+            m.force_throttle(rung.pstate, rung.tstate.on_16());
+            for line in [x, a, b] {
+                m.load(line); // cold
+            }
+            check(&mut m, x, 1, rung);
+            check(&mut m, x, 1, rung);
+            for &off in &l1_sweep {
+                m.load(r.at(off));
+            }
+            check(&mut m, a, 2, rung);
+            check(&mut m, b, 2, rung);
+            for &off in &l2_sweep {
+                m.load(r.at(off));
+            }
+            let l3_advance = check(&mut m, a, 3, rung);
+            check(&mut m, b, 3, rung);
+            // A DRAM load takes an L3 hit's cycles plus DRAM time.
+            let before = m.clock.now_ns();
+            m.load(dram_line);
+            let dram_advance = m.clock.now_ns() - before;
+            assert!(
+                dram_advance - l3_advance > 0.5 * h.dram_ns * t.dram_exposed,
+                "a DRAM load took {dram_advance} ns, an L3 hit {l3_advance} ns, at {rung:?}"
+            );
+            check(&mut m, x, 3, rung);
+        }
+    }
+
+    #[test]
+    fn hit_loads_advance_the_clock_by_the_conversion_at_every_rung() {
+        check_hit_charges_at_every_rung(MachineConfig::tiny(31));
+    }
+
+    #[test]
+    fn hit_keys_that_share_a_slot_are_told_apart() {
+        // An L2 hit then costs the L1 hit's cycles plus HIT_SLOTS: the same
+        // slot, a different key.
+        let mut cfg = MachineConfig::tiny(32);
+        cfg.hierarchy.l2.hit_cycles = HIT_SLOTS as u32;
+        check_hit_charges_at_every_rung(cfg);
     }
 
     #[test]

@@ -457,11 +457,22 @@ impl TrafficSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `spec.control_period_s` is not positive and finite; such
-    /// a gate would never advance past its first evaluation.
+    /// Panics unless every field can act:
+    /// - `control_period_s` is positive and finite (otherwise the gate
+    ///   never advances past its first evaluation);
+    /// - `0 ≤ low_watermark < high_watermark ≤ 1` (a NaN low watermark
+    ///   never restores a shed class, a NaN high one never sheds on queue
+    ///   depth);
+    /// - `p99_ms` is finite and ≥ 0 (a NaN threshold silently turns the
+    ///   tail trigger off).
     pub fn brownout(mut self, spec: BrownoutSpec) -> TrafficSpec {
         let p = spec.control_period_s;
         assert!(p > 0.0 && p.is_finite(), "invalid BrownoutSpec: control_period_s = {p}");
+        let (low, high, tail) = (spec.low_watermark, spec.high_watermark, spec.p99_ms);
+        assert!(
+            0.0 <= low && low < high && high <= 1.0 && tail >= 0.0 && tail.is_finite(),
+            "invalid BrownoutSpec: low_watermark = {low}, high_watermark = {high}, p99_ms = {tail}"
+        );
         self.brownout = Some(spec);
         self
     }
@@ -1123,6 +1134,23 @@ mod tests {
     fn brownout_panics_on_a_period_that_never_advances() {
         let _ = TrafficSpec::constant(1000.0)
             .brownout(BrownoutSpec { control_period_s: 0.0, ..BrownoutSpec::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid BrownoutSpec: low_watermark = NaN")]
+    fn brownout_panics_on_a_nan_low_watermark_that_never_restores() {
+        let _ = TrafficSpec::constant(1000.0)
+            .brownout(BrownoutSpec { low_watermark: f64::NAN, ..BrownoutSpec::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid BrownoutSpec: low_watermark = 0.75, high_watermark = 0.375")]
+    fn brownout_panics_on_inverted_watermarks() {
+        let _ = TrafficSpec::constant(1000.0).brownout(BrownoutSpec {
+            low_watermark: 0.75,
+            high_watermark: 0.375,
+            ..BrownoutSpec::default()
+        });
     }
 
     #[test]
